@@ -255,88 +255,65 @@ def default_decision(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Entry:
-    decision: AccessDecision
-    dynamic: bool
-
-
 class DecisionStore:
-    """Expiring decision collection keyed by canonical flow encoding.
+    """Expiring decisions, one per issuer.
 
-    Lookups never return expired entries.  A composite decision is indexed
-    under each constituent flow.  Installing a decision for a policy that
-    already has one replaces the older entry (last writer wins); a small
-    request-key memo makes the per-frame lookup O(1) for repeated traffic.
+    A decision's issuer is its set of origin policies or, for a decision
+    without one (a default or fallback denial), its flows.  Installing
+    replaces the issuer's previous decision and keeps every other issuer's,
+    so two policies' decisions on one flow compose instead of overwriting
+    each other.  Lookups never return expired entries; a request-key memo
+    makes the per-frame lookup O(1) for repeated traffic.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._by_flow: dict[bytes, _Entry] = {}
-        self._policy_flows: dict[str, set[bytes]] = {}
-        self._memo: dict[bytes, list[AccessDecision]] = {}
+        self._by_issuer: dict[object, AccessDecision] = {}
+        self._next_expiry = float("inf")  # earliest valid_until stored
+        # request key -> stored decisions that match it, valid or not
+        self._memo: dict[tuple, list[AccessDecision]] = {}
 
-    def install(self, decision: AccessDecision, dynamic: bool = False) -> None:
-        entry = _Entry(decision, dynamic)
+    def install(self, decision: AccessDecision) -> None:
+        issuer = decision.origin_policy_ids or tuple(f.canonical_bytes() for f in decision.flows)
         with self._lock:
-            if len(decision.origin_policy_ids) == 1:
-                (pid,) = decision.origin_policy_ids
-                for stale_key in self._policy_flows.pop(pid, ()):
-                    stale = self._by_flow.get(stale_key)
-                    if stale is not None and stale.decision.origin_policy_ids == {pid}:
-                        del self._by_flow[stale_key]
-                self._policy_flows[pid] = set()
-            for flow in decision.flows:
-                key = flow.canonical_bytes()
-                self._by_flow[key] = entry
-                if len(decision.origin_policy_ids) == 1:
-                    (pid,) = decision.origin_policy_ids
-                    self._policy_flows[pid].add(key)
+            self._by_issuer[issuer] = decision
+            self._next_expiry = min(self._next_expiry, decision.valid_until)
             self._memo.clear()
 
-    def purge_expired(self, now: int) -> None:
-        with self._lock:
-            self._purge_locked(now)
-
     def _purge_locked(self, now: int) -> None:
-        dead = [k for k, e in self._by_flow.items() if now > e.decision.valid_until]
+        if now <= self._next_expiry:
+            return
+        dead = [k for k, d in self._by_issuer.items() if now > d.valid_until]
         for k in dead:
-            del self._by_flow[k]
+            del self._by_issuer[k]
+        self._next_expiry = min((d.valid_until for d in self._by_issuer.values()), default=float("inf"))
         if dead:
             self._memo.clear()
 
     def matching(self, request: AccessRequestPattern, now: int) -> list[AccessDecision]:
         """Unexpired decisions with at least one flow matching the request."""
-        request_key = request.canonical_bytes()
+        request_key = request.key()
         with self._lock:
             self._purge_locked(now)
-            memo = self._memo.get(request_key)
-            if memo is not None and all(d.valid_at(now) for d in memo):
-                return list(memo)
-            seen: set[int] = set()
-            out: list[AccessDecision] = []
-            for entry in self._by_flow.values():
-                if id(entry) in seen or not entry.decision.valid_at(now):
-                    continue
-                seen.add(id(entry))
-                if entry.decision.matching_flows(request):
-                    out.append(entry.decision)
-            self._memo[request_key] = list(out)
-            return out
+            matched = self._memo.get(request_key)
+            if matched is None:
+                matched = [d for d in self._by_issuer.values() if d.matching_flows(request)]
+                self._memo[request_key] = matched
+            return [d for d in matched if d.valid_at(now)]
 
     def lookup_flow(self, flow: FlowPattern, now: int) -> Optional[AccessDecision]:
+        key = flow.canonical_bytes()
         with self._lock:
             self._purge_locked(now)
-            entry = self._by_flow.get(flow.canonical_bytes())
-            return entry.decision if entry is not None else None
+            for decision in self._by_issuer.values():
+                if any(f.canonical_bytes() == key for f in decision.flows):
+                    return decision
+            return None
 
     def snapshot(self) -> list[AccessDecision]:
         with self._lock:
-            uniq: dict[int, AccessDecision] = {}
-            for entry in self._by_flow.values():
-                uniq[id(entry)] = entry.decision
-            return list(uniq.values())
+            return list(self._by_issuer.values())
 
     def __len__(self) -> int:
         with self._lock:
-            return len({id(e) for e in self._by_flow.values()})
+            return len(self._by_issuer)

@@ -183,7 +183,7 @@ def parse_pattern(text: str) -> FlowPattern:
     root = _parse_block(cur)
     if cur.peek() is not None:
         raise PatternError(f"trailing input after pattern: {cur.peek()!r}")
-    return FlowPattern(root).normalized()
+    return FlowPattern(root)
 
 
 def _format_literal(v: Value) -> str:
@@ -221,4 +221,4 @@ def format_pattern(flow: FlowPattern) -> str:
         inner = " ".join(parts)
         return f"{node.ident} {{ {inner} }}" if inner else f"{node.ident} {{ }}"
 
-    return fmt(flow.normalized().root)
+    return fmt(flow.root)

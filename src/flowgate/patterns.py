@@ -163,7 +163,12 @@ def _check_operand(ident: str, op: MatchOp, operand) -> None:
 
 @dataclass(frozen=True)
 class FlowPattern:
-    """Immutable, validated, canonically ordered predicate tree."""
+    """Immutable, validated, canonically ordered predicate tree.
+
+    The root is normalized once, on construction (derived layer constraints
+    inserted, siblings ordered canonically), so structurally equal patterns
+    compare and encode identically.
+    """
 
     root: PredicateNode
 
@@ -171,14 +176,11 @@ class FlowPattern:
         violations = flow_pattern_violations(self.root)
         if violations:
             raise PatternError("; ".join(violations))
+        object.__setattr__(self, "root", _normalize_node(self.root))
 
     def normalized(self) -> "FlowPattern":
-        """Insert derived layer constraints and order siblings canonically.
-
-        Idempotent; parsers and decoders return normalized patterns so that
-        structurally equal patterns compare and encode identically.
-        """
-        return FlowPattern(_normalize_node(self.root))
+        """The pattern itself: every pattern is normalized on construction."""
+        return self
 
     def layers(self) -> list[str]:
         out = []
@@ -266,10 +268,16 @@ class AccessRequestPattern:
             node = node.child
         return out
 
-    def canonical_bytes(self) -> bytes:
-        from .wire.codec import encode_request_pattern
+    def key(self) -> tuple:
+        """Hashable, type-exact identity of the facts.
 
-        return encode_request_pattern(self)
+        Each value is paired with its type, because `True == 1 == 1.0` would
+        otherwise let a request stand in for a different one.
+        """
+        return tuple(
+            (node.layer, tuple((fid, type(val), val) for fid, val in node.facts))
+            for node in self.anchors()
+        )
 
 
 def anchor_points(pattern: AccessRequestPattern) -> list[tuple[str, ...]]:
@@ -318,7 +326,7 @@ def _match_node(pred: PredicateNode, node: RequestNode) -> bool:
 def match_at_root(flow: FlowPattern, request: AccessRequestPattern) -> bool:
     """True iff every predicate holds with the pattern root aligned to the
     request root."""
-    return _match_node(flow.normalized().root, request.root)
+    return _match_node(flow.root, request.root)
 
 
 def match_nested(flow: FlowPattern, request: AccessRequestPattern) -> Optional[tuple[str, ...]]:
@@ -327,7 +335,7 @@ def match_nested(flow: FlowPattern, request: AccessRequestPattern) -> Optional[t
     Returns the path from the request root to the first matching anchor, or
     None when the pattern matches nowhere.
     """
-    root = flow.normalized().root
+    root = flow.root
     path: list[str] = []
     node: Optional[RequestNode] = request.root
     while node is not None:
@@ -364,7 +372,7 @@ def qualified_set(flow: FlowPattern) -> frozenset[QualifiedPredicate]:
                     (path, ("parametric", child.ident, child.op.value, operand_text(child.op, child.operand)))
                 )
 
-    walk(flow.normalized().root, ())
+    walk(flow.root, ())
     return frozenset(entries)
 
 
@@ -397,7 +405,7 @@ def exact_flow(request: AccessRequestPattern) -> FlowPattern:
         chain = PredicateNode(PredicateKind.HIERARCHY, node.layer, children=children)
     if chain is None:
         raise PatternError("request pattern has no anchors")
-    return FlowPattern(chain).normalized()
+    return FlowPattern(chain)
 
 
 # Convenience constructors used across tests and fixtures.

@@ -73,10 +73,21 @@ class EnvelopeFactory:
         self._auth = auth
         self._seq = SequenceCounter()
         self._clock = clock
+        self._peer_locks: dict[str, threading.Lock] = {}
 
     def sealed(self, body: MessageBody, peer: str) -> ProtocolEnvelope:
         env = ProtocolEnvelope(self.sender_id, self._seq.next(), self._clock(), body)
         return seal(env, self._auth, peer)
+
+    def peer_lock(self, peer: str) -> threading.Lock:
+        """Lock to hold across sealing and sending to `peer`.
+
+        Receivers reject a sequence number at or below the last one they
+        accepted from this sender, so envelopes to one peer must leave in
+        the order their numbers were issued.
+        """
+        # dict.setdefault is atomic: racing callers get the same lock.
+        return self._peer_locks.setdefault(peer, threading.Lock())
 
 
 #: Control handler: (envelope, reply) -> None.  `reply` sends one envelope

@@ -117,9 +117,6 @@ class ServiceConfig:
     push_backoff_ms: int = 200
     dissection: DissectionOptions = DissectionOptions()
 
-    def registry_entry(self, dep_id: str) -> Optional[DepRegistryEntry]:
-        return self.registry.get(dep_id)
-
 
 def _parse_int_set(text: str) -> frozenset[int]:
     return frozenset(int(p, 0) for p in text.split(",") if p)

@@ -64,7 +64,7 @@ class DepService(Service):
         super().__init__(cfg, clock or now_ms)
         self.egress_decisions = DecisionStore()
         self.ingress_decisions = DecisionStore()
-        self._pending: dict[bytes, _Pending] = {}
+        self._pending: dict[tuple, _Pending] = {}
         self._pending_lock = threading.Lock()
         self._stop = threading.Event()
 
@@ -200,12 +200,13 @@ class DepService(Service):
                 continue
             from ..wire.messages import encode_envelope
 
-            datagram = encode_envelope(self.factory.sealed(body, dep_id))
-            try:
-                self._data_sock.sendto(datagram, entry.data)
-                self.metrics.incr("egress.forwarded")
-            except OSError:
-                self.metrics.incr("egress.send-failed")
+            with self.factory.peer_lock(dep_id):
+                datagram = encode_envelope(self.factory.sealed(body, dep_id))
+                try:
+                    self._data_sock.sendto(datagram, entry.data)
+                    self.metrics.incr("egress.forwarded")
+                except OSError:
+                    self.metrics.incr("egress.send-failed")
 
     def _forward_bypass(self, frame: bytes) -> None:
         # Bypassed frames go out raw and unauthenticated to every other
@@ -220,7 +221,7 @@ class DepService(Service):
                 self.metrics.incr("egress.send-failed")
 
     def _buffer_and_request(self, frame: bytes, request: AccessRequestPattern, now: int) -> None:
-        key = request.canonical_bytes()
+        key = request.key()
         with self._pending_lock:
             pending = self._pending.get(key)
             if pending is None:
@@ -247,8 +248,9 @@ class DepService(Service):
             return
         pdp_id, pdp_addr = self.cfg.pdp
         try:
-            oneshot(pdp_addr, self.factory.sealed(AccessRequest(request), pdp_id),
-                    await_reply=False, timeout_s=self.cfg.control_timeout_s)
+            with self.factory.peer_lock(pdp_id):
+                oneshot(pdp_addr, self.factory.sealed(AccessRequest(request), pdp_id),
+                        await_reply=False, timeout_s=self.cfg.control_timeout_s)
             log_event(self.logger, "access-request", pdp=pdp_id)
         except TransportError as exc:
             self.metrics.incr("egress.request-failed")

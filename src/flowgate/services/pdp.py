@@ -14,7 +14,6 @@ policy id and reused until they expire or the policy changes.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Callable
 
 from ..decisions import AccessDecision, default_decision, deny_decision, dynamic_authorization
@@ -93,11 +92,6 @@ class RemoteAttributeSource:
         return out
 
 
-@dataclass
-class _CachedDecision:
-    decision: AccessDecision
-
-
 class PdpService(Service):
     role = "pdp"
 
@@ -107,7 +101,7 @@ class PdpService(Service):
         self._lock = threading.Lock()
         self._policies: dict[str, Policy] = {}
         self._revision = 0
-        self._cache: dict[str, _CachedDecision] = {}
+        self._cache: dict[str, AccessDecision] = {}
         self._server = ControlServer(
             cfg.id, cfg.listen_control or ("127.0.0.1", 0), self.gate, self._handle,
             self.factory, self.metrics, self.logger, sock=control_sock, clock=self.clock,
@@ -207,14 +201,14 @@ class PdpService(Service):
 
     def _decision_for(self, policy: Policy, now: int) -> AccessDecision:
         cached = self._cache.get(policy.id)
-        if cached is not None and cached.decision.valid_at(now):
+        if cached is not None and cached.valid_at(now):
             self.metrics.incr("decisions.cache-hit")
-            return cached.decision
+            return cached
         decision = dynamic_authorization(
             [policy], self.attribute_source, now, self.cfg.catalog,
             nexthop_resolver=self._nexthop_for, error_retry_ms=self.cfg.error_retry_ms,
         )[0]
-        self._cache[policy.id] = _CachedDecision(decision)
+        self._cache[policy.id] = decision
         self.metrics.incr("decisions.derived")
         return decision
 
@@ -262,8 +256,9 @@ class PdpService(Service):
                 log_event(self.logger, "unknown-dep", dep=dep_id)
                 continue
             try:
-                oneshot(entry.control, self.factory.sealed(init, dep_id),
-                        await_reply=False, timeout_s=self.cfg.control_timeout_s)
+                with self.factory.peer_lock(dep_id):
+                    oneshot(entry.control, self.factory.sealed(init, dep_id),
+                            await_reply=False, timeout_s=self.cfg.control_timeout_s)
                 self.metrics.incr("session-init.sent")
             except TransportError as exc:
                 self.metrics.incr("session-init.send-failed")
@@ -291,7 +286,7 @@ class _EmptySource:
 def _destination_predicates(flow: FlowPattern) -> list[tuple[str, frozenset]]:
     """(kind, candidate values) for each destination-side equality predicate."""
     wanted: list[tuple[str, frozenset]] = []
-    node = flow.normalized().root
+    node = flow.root
     while node is not None:
         field = {"eth": "dst", "ipv4": "dst", "udp": "dstport", "tcp": "dstport"}.get(node.ident)
         if field is not None:

@@ -304,13 +304,13 @@ def encode_flow_pattern(flow: FlowPattern) -> bytes:
 
 
 def write_flow_pattern(w: Writer, flow: FlowPattern) -> None:
-    _write_flow_node(w, flow.normalized().root)
+    _write_flow_node(w, flow.root)
 
 
 def read_flow_pattern(r: Reader) -> FlowPattern:
     root = _read_flow_node(r)
     try:
-        return FlowPattern(root).normalized()
+        return FlowPattern(root)
     except FlowgateError as exc:
         raise MalformedFieldError(str(exc)) from None
 

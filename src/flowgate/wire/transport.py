@@ -43,6 +43,7 @@ def recv_frame(sock: socket.socket) -> Optional[bytes]:
 
 
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
+    """Exactly `n` bytes, or None on EOF before the first of them."""
     buf = b""
     while len(buf) < n:
         try:
@@ -52,7 +53,9 @@ def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
         except OSError as exc:
             raise TransportError(f"receive failed: {exc}") from None
         if not chunk:
-            return None if not buf else None
+            if buf:
+                raise TransportError("connection closed mid-frame")
+            return None
         buf += chunk
     return buf
 

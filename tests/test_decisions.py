@@ -17,7 +17,7 @@ from flowgate.decisions import (
 from flowgate.errors import AttributeResolutionError, DecisionError
 from flowgate.frames import dissect, goose_frame, udp_frame
 from flowgate.pattern_text import parse_pattern
-from flowgate.patterns import AccessRequestPattern, RequestNode, match_at_root
+from flowgate.patterns import AccessRequestPattern, RequestNode, match_at_root, request_node
 from flowgate.policy import (
     Action,
     AttributeBinding,
@@ -295,6 +295,43 @@ class TestDecisionStore:
         assert store.matching(GOOSE_REQ, 100)
         store.install(self.grant("eth { goose { appid == 5 } }", 10_000, origin="p2"))
         assert len(store.matching(GOOSE_REQ, 100)) == 2
+
+
+class TestStoreIssuers:
+    FLOW = "eth { goose { appid == 5 } }"
+
+    def decision(self, action, origin, flow=FLOW):
+        hops = frozenset({"dep-b"}) if action is Action.GRANT else frozenset()
+        return AccessDecision((parse_pattern(flow),), action, hops, 0, 10_000, frozenset({origin}))
+
+    @pytest.mark.parametrize("first", [Action.GRANT, Action.DENY], ids=["grant-first", "deny-first"])
+    def test_grant_and_deny_on_one_flow_compose_to_deny(self, first):
+        grant = self.decision(Action.GRANT, "p-grant")
+        deny = self.decision(Action.DENY, "p-deny")
+        store = DecisionStore()
+        for d in (grant, deny) if first is Action.GRANT else (deny, grant):
+            store.install(d)
+        candidates = store.matching(GOOSE_REQ, 100)
+        assert {d.action for d in candidates} == {Action.GRANT, Action.DENY}
+        selected = select_decision(candidates, GOOSE_REQ)
+        assert enforce(selected, GOOSE_REQ, 100) == (Action.DENY, frozenset())
+
+    @pytest.mark.parametrize("order", [(1, True), (True, 1)], ids=["int-first", "bool-first"])
+    def test_memo_key_is_type_exact(self, order):
+        store = DecisionStore()
+        store.install(self.decision(Action.GRANT, "p1", "opaque { length == 1 }"))
+        found = {}
+        for length in order:
+            request = AccessRequestPattern(request_node("opaque", {"length": length}))
+            found[type(length)] = store.matching(request, 100)
+        assert len(found[int]) == 1
+        assert found[bool] == []
+
+    def test_originless_denials_keyed_type_exactly(self):
+        store = DecisionStore()
+        for flow in ("opaque { length == 1 }", "opaque { length == true }"):
+            store.install(deny_decision((parse_pattern(flow),), 0, 10_000))
+        assert len(store) == 2
 
 
 class TestRandomizedLaws:

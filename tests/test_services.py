@@ -2,6 +2,7 @@
 request fan-out, and enforcement-point data-path rules."""
 
 import socket
+import sys
 import threading
 import time
 
@@ -482,6 +483,32 @@ class TestDepEgress:
             env = decode_envelope(caught.recv())
             assert env.body.frame == GOOSE_FRAME
         assert service.metrics.get("egress.forwarded") == 2
+
+    def test_concurrent_forwards_reach_the_peer_in_sequence_order(self, dep):
+        # The peer drops any sequence at or below the last it accepted, so
+        # threads forwarding to one peer must not reorder their envelopes.
+        service, catcher, _, _ = dep
+        service.egress_decisions.install(grant_to_b())
+        threads, per_thread = 4, 50
+
+        def forward():
+            for _ in range(per_thread):
+                service.handle_egress_frame(GOOSE_FRAME, now_ms())
+
+        workers = [threading.Thread(target=forward) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        seqs = [decode_envelope(d).sequence for d in catcher.drain()]
+        assert len(seqs) == threads * per_thread
+        assert seqs == sorted(seqs)
 
     def test_denied_frame_dropped(self, dep):
         service, catcher, _, _ = dep

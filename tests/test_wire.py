@@ -1,12 +1,14 @@
 """Canonical codec: round trips, golden fixtures, typed decode failures."""
 
 import os
+import socket
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowgate.decisions import AccessDecision
+from flowgate.errors import TransportError
 from flowgate.policy import Action
 from flowgate.pattern_text import parse_pattern
 from flowgate.wire.auth import AuthScheme, NoopAuthenticator, seal
@@ -30,6 +32,7 @@ from flowgate.wire.messages import (
     decode_envelope,
     encode_envelope,
 )
+from flowgate.wire.transport import recv_frame
 from wire_fixtures import GOLDEN_DIR, golden_envelopes
 
 NOOP = NoopAuthenticator()
@@ -181,3 +184,17 @@ class TestPolicyCodec:
         data = encode_policy(__import__("wire_fixtures")._policy()) + b"\xff"
         with pytest.raises(DecodeError):
             decode_policy(data)
+
+
+class TestStreamFraming:
+    @pytest.mark.parametrize("sent", [0, 1, 2, 3])
+    def test_eof_inside_the_length_prefix(self, sent):
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(b"\x00" * sent)
+            a.close()
+            if sent == 0:
+                assert recv_frame(b) is None  # orderly close at a frame boundary
+            else:
+                with pytest.raises(TransportError, match="mid-frame"):
+                    recv_frame(b)
