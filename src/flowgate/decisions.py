@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Protocol
 
 from .errors import AttributeResolutionError, ClassificationError, DecisionError, EvaluationError
-from .patterns import AccessRequestPattern, FlowPattern, Specificity, exact_flow, is_more_specific, match_nested
+from .patterns import (
+    AccessRequestPattern,
+    FlowIndex,
+    FlowPattern,
+    Specificity,
+    exact_flow,
+    is_more_specific,
+    match_nested,
+)
 from .policy import (
     Action,
     AttributeBinding,
@@ -29,6 +37,9 @@ from .policy import (
 
 DEFAULT_ERROR_RETRY_MS = 1_000
 DEFAULT_DENY_TTL_MS = 5_000
+#: Requests a store memoizes before it starts over, so that a sender
+#: spraying distinct frame shapes cannot grow the memo without limit.
+MEMO_LIMIT = 4_096
 
 
 @dataclass(frozen=True)
@@ -262,13 +273,15 @@ class DecisionStore:
     without one (a default or fallback denial), its flows.  Installing
     replaces the issuer's previous decision and keeps every other issuer's,
     so two policies' decisions on one flow compose instead of overwriting
-    each other.  Lookups never return expired entries; a request-key memo
-    makes the per-frame lookup O(1) for repeated traffic.
+    each other.  Lookups never return expired entries.  A flow index narrows
+    a lookup to the issuers whose flows may match, and a bounded request-key
+    memo serves repeated traffic without a lookup.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._by_issuer: dict[object, AccessDecision] = {}
+        self._index = FlowIndex()  # every stored flow, filed under its issuer
         self._next_expiry = float("inf")  # earliest valid_until stored
         # request key -> stored decisions that match it, valid or not
         self._memo: dict[tuple, list[AccessDecision]] = {}
@@ -276,16 +289,25 @@ class DecisionStore:
     def install(self, decision: AccessDecision) -> None:
         issuer = decision.origin_policy_ids or tuple(f.canonical_bytes() for f in decision.flows)
         with self._lock:
+            replaced = self._by_issuer.get(issuer)
+            if replaced is not None:
+                self._unfile_locked(issuer, replaced)
             self._by_issuer[issuer] = decision
+            for flow in decision.flows:
+                self._index.add(flow, issuer)
             self._next_expiry = min(self._next_expiry, decision.valid_until)
             self._memo.clear()
+
+    def _unfile_locked(self, issuer: object, decision: AccessDecision) -> None:
+        for flow in decision.flows:
+            self._index.remove(flow, issuer)
 
     def _purge_locked(self, now: int) -> None:
         if now <= self._next_expiry:
             return
         dead = [k for k, d in self._by_issuer.items() if now > d.valid_until]
         for k in dead:
-            del self._by_issuer[k]
+            self._unfile_locked(k, self._by_issuer.pop(k))
         self._next_expiry = min((d.valid_until for d in self._by_issuer.values()), default=float("inf"))
         if dead:
             self._memo.clear()
@@ -297,7 +319,10 @@ class DecisionStore:
             self._purge_locked(now)
             matched = self._memo.get(request_key)
             if matched is None:
-                matched = [d for d in self._by_issuer.values() if d.matching_flows(request)]
+                candidates = (self._by_issuer[i] for i in self._index.candidates(request))
+                matched = [d for d in candidates if d.matching_flows(request)]
+                if len(self._memo) >= MEMO_LIMIT:
+                    self._memo.clear()
                 self._memo[request_key] = matched
             return [d for d in matched if d.valid_at(now)]
 

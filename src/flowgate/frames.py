@@ -68,7 +68,7 @@ DEFAULT_OPTIONS = DissectionOptions()
 
 
 def mac_text(raw: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in raw)
+    return raw.hex(":")
 
 
 def ipv4_text(raw: bytes) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Hashable, Iterator, Optional, Union
 
 from .errors import PatternError
 
@@ -344,6 +344,90 @@ def match_nested(flow: FlowPattern, request: AccessRequestPattern) -> Optional[t
             return tuple(path)
         node = node.child
     return None
+
+
+# ---------------------------------------------------------------------------
+# Flow index
+# ---------------------------------------------------------------------------
+
+# A flow's shape: its layer chain from the pattern root, and the
+# (depth, field) pairs it pins with `==`, derived constraints included.
+_Shape = tuple[tuple[str, ...], tuple[tuple[int, str], ...]]
+
+
+def _shape_and_key(flow: FlowPattern) -> tuple[_Shape, tuple]:
+    """The flow's shape and its pinned values, each tagged with its type."""
+    layers: list[str] = []
+    pins: list[tuple[tuple[int, str], tuple[type, Value]]] = []
+    node: Optional[PredicateNode] = flow.root
+    while node is not None:
+        for leaf in node.leaf_children():
+            if leaf.op is MatchOp.EQ:
+                pins.append(((len(layers), leaf.ident), (type(leaf.operand), leaf.operand)))
+        layers.append(node.ident)
+        node = node.hierarchy_child()
+    pins.sort(key=lambda pin: pin[0])
+    return (tuple(layers), tuple(p for p, _ in pins)), tuple(v for _, v in pins)
+
+
+class FlowIndex:
+    """Tuple-space index of flow patterns (Srinivasan, Suri & Varghese,
+    "Packet Classification using Tuple Space Search", SIGCOMM 1999).
+
+    Flows are grouped by shape, and each group files its items under the
+    flows' pinned values.  Values are keyed with their type, so `== 1` and
+    `== true` never share a bucket.  A flow that pins nothing with `==` is
+    filed under the empty key of its group.  `candidates` probes one dict
+    per group at every request anchor whose layer is the group's root: it
+    returns every item whose flow matches, and possibly others, so callers
+    confirm each candidate with `match_nested`.
+    """
+
+    def __init__(self):
+        # root layer -> shape -> pinned values -> item -> times filed
+        self._groups: dict[str, dict[_Shape, dict[tuple, dict[Hashable, int]]]] = {}
+
+    def add(self, flow: FlowPattern, item: Hashable) -> None:
+        shape, key = _shape_and_key(flow)
+        buckets = self._groups.setdefault(shape[0][0], {}).setdefault(shape, {})
+        bucket = buckets.setdefault(key, {})
+        bucket[item] = bucket.get(item, 0) + 1
+
+    def remove(self, flow: FlowPattern, item: Hashable) -> None:
+        """Undo one `add(flow, item)`; KeyError if there is none."""
+        shape, key = _shape_and_key(flow)
+        shapes = self._groups[shape[0][0]]
+        buckets = shapes[shape]
+        bucket = buckets[key]
+        if bucket[item] > 1:
+            bucket[item] -= 1
+            return
+        del bucket[item]
+        if not bucket:
+            del buckets[key]
+            if not buckets:
+                del shapes[shape]
+                if not shapes:
+                    del self._groups[shape[0][0]]
+
+    def candidates(self, request: AccessRequestPattern) -> list[Hashable]:
+        """Items filed under a flow that may match the request, each once."""
+        anchors = request.anchors()
+        layers = tuple(node.layer for node in anchors)
+        found: dict[Hashable, None] = {}
+        for at, anchor in enumerate(anchors):
+            for (chain, pins), buckets in self._groups.get(anchor.layer, {}).items():
+                if layers[at:at + len(chain)] != chain:
+                    continue
+                key = []
+                for depth, field in pins:
+                    fact = anchors[at + depth].fact(field)
+                    if fact is None:
+                        break
+                    key.append((type(fact), fact))
+                else:
+                    found.update(dict.fromkeys(buckets.get(tuple(key), ())))
+        return list(found)
 
 
 # ---------------------------------------------------------------------------

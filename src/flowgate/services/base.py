@@ -84,11 +84,15 @@ class EnvelopeFactory:
 
         Receivers reject a sequence number at or below the last one they
         accepted from this sender, so envelopes to one peer must leave in
-        the order their numbers were issued.
+        the order their numbers were issued.  A request that awaits a reply
+        holds it until the reply is opened, so replies are opened in order.
         """
         # dict.setdefault is atomic: racing callers get the same lock.
         return self._peer_locks.setdefault(peer, threading.Lock())
 
+
+#: How long a new control connection may take to deliver its first envelope.
+FIRST_ENVELOPE_TIMEOUT_S = 1.0
 
 #: Control handler: (envelope, reply) -> None.  `reply` sends one envelope
 #: back on the same connection; pushes to third parties go out of band.
@@ -159,34 +163,56 @@ class ControlServer:
                 continue
             except OSError:
                 return
-            conn.settimeout(None)
+            # The first envelope is received and opened here, in accept
+            # order.  A sender connects to a peer only after its previous
+            # envelope to that peer is sent, so this order keeps each
+            # sender's sequence numbers increasing at the replay check.
+            # The deadline covers the whole envelope, so a peer trickling
+            # bytes holds the loop no longer than a silent one.
+            deadline = time.monotonic() + FIRST_ENVELOPE_TIMEOUT_S
+            try:
+                env = self._receive(conn, deadline)
+            except Exception:
+                # One connection must not end the accept loop.
+                self._metrics.incr("control.receive-error")
+                self._logger.exception("receiving a first envelope failed")
+                env = None
+            if env is None:
+                conn.close()
+                continue
             threading.Thread(
-                target=self._serve, args=(conn,), name=f"{self._name}-conn", daemon=True
+                target=self._serve, args=(conn, env), name=f"{self._name}-conn", daemon=True
             ).start()
 
-    def _serve(self, conn: socket.socket) -> None:
+    def _receive(
+        self, conn: socket.socket, deadline: Optional[float] = None
+    ) -> Optional[ProtocolEnvelope]:
+        """The next envelope on `conn`, opened; None when the connection is done."""
+        try:
+            env = recv_envelope(conn, deadline)
+        except DecodeError as exc:
+            self._metrics.incr("control.decode-error")
+            log_event(self._logger, "decode-error", detail=exc)
+            return None
+        except Exception:
+            return None
+        if env is None:
+            return None
+        try:
+            self._gate.open(env, self._clock())
+        except OpenFailure as exc:
+            self._metrics.incr("control.rejected")
+            log_event(
+                self._logger, "envelope-rejected",
+                sender=env.sender_id, reason=type(exc).__name__,
+            )
+            return None
+        return env
+
+    def _serve(self, conn: socket.socket, env: Optional[ProtocolEnvelope]) -> None:
         with conn:
             conn.settimeout(30)
-            while not self._stop.is_set():
-                try:
-                    env = recv_envelope(conn)
-                except DecodeError as exc:
-                    self._metrics.incr("control.decode-error")
-                    log_event(self._logger, "decode-error", detail=exc)
-                    return
-                except Exception:
-                    return
-                if env is None:
-                    return
-                try:
-                    self._gate.open(env, self._clock())
-                except OpenFailure as exc:
-                    self._metrics.incr("control.rejected")
-                    log_event(
-                        self._logger, "envelope-rejected",
-                        sender=env.sender_id, reason=type(exc).__name__,
-                    )
-                    return
+            while env is not None and not self._stop.is_set():
 
                 def reply(body: MessageBody, _conn=conn, _peer=env.sender_id) -> None:
                     send_envelope(_conn, self._factory.sealed(body, _peer))
@@ -196,6 +222,7 @@ class ControlServer:
                 except Exception:
                     self._metrics.incr("control.handler-error")
                     self._logger.exception("handler failed for %s", env.msg_type.name)
+                env = self._receive(conn)
 
 
 class Service:

@@ -402,12 +402,13 @@ class DepService(Service):
         for decision in decisions:
             for flow in decision.flows:
                 try:
-                    reply = oneshot(
-                        verifier_addr,
-                        self.factory.sealed(AccessVerificationRequest(flow), verifier_id),
-                        await_reply=True, timeout_s=self.cfg.control_timeout_s,
-                    )
-                    self.gate.open(reply, self.clock())
+                    with self.factory.peer_lock(verifier_id):
+                        reply = oneshot(
+                            verifier_addr,
+                            self.factory.sealed(AccessVerificationRequest(flow), verifier_id),
+                            await_reply=True, timeout_s=self.cfg.control_timeout_s,
+                        )
+                        self.gate.open(reply, self.clock())
                 except (TransportError, OpenFailure) as exc:
                     if self.cfg.verify_fail_open:
                         log_event(self.logger, "verify-unreachable-accept", detail=exc)

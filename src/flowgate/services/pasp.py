@@ -152,8 +152,9 @@ class PaspService(Service):
         backoff = self.cfg.push_backoff_ms / 1000.0
         for attempt in range(self.cfg.push_retries):
             try:
-                oneshot(addr, self.factory.sealed(body, pdp_id), await_reply=False,
-                        timeout_s=self.cfg.control_timeout_s)
+                with self.factory.peer_lock(pdp_id):
+                    oneshot(addr, self.factory.sealed(body, pdp_id), await_reply=False,
+                            timeout_s=self.cfg.control_timeout_s)
                 self.metrics.incr("exchange.incremental-pushed")
                 log_event(self.logger, "incremental-push", pdp=pdp_id, revision=body.revision)
                 return

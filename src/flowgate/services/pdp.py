@@ -14,11 +14,11 @@ policy id and reused until they expire or the policy changes.
 from __future__ import annotations
 
 import threading
-from typing import Callable
+from typing import Callable, Optional
 
 from ..decisions import AccessDecision, default_decision, deny_decision, dynamic_authorization
 from ..errors import AttributeResolutionError, TransportError
-from ..patterns import FlowPattern, MatchOp, PredicateKind, match_nested
+from ..patterns import FlowIndex, FlowPattern, MatchOp, PredicateKind, match_nested
 from ..policy import FOREVER, AttributeBinding, Policy
 from ..wire.auth import InboundGate, OpenFailure
 from ..wire.messages import (
@@ -75,9 +75,10 @@ class RemoteAttributeSource:
         self.calls += 1
         request = AttributeRequest(tuple(sorted(keys)))
         try:
-            reply = oneshot(self._addr, self._factory.sealed(request, self._peer),
-                            await_reply=True, timeout_s=self._timeout)
-            self._gate.open(reply, self._clock())
+            with self._factory.peer_lock(self._peer):
+                reply = oneshot(self._addr, self._factory.sealed(request, self._peer),
+                                await_reply=True, timeout_s=self._timeout)
+                self._gate.open(reply, self._clock())
         except (TransportError, OpenFailure) as exc:
             raise AttributeResolutionError(str(exc)) from None
         if not isinstance(reply.body, AttributeResolution):
@@ -100,6 +101,7 @@ class PdpService(Service):
         super().__init__(cfg, clock or now_ms)
         self._lock = threading.Lock()
         self._policies: dict[str, Policy] = {}
+        self._index = FlowIndex()  # every policy's flow, filed under its id
         self._revision = 0
         self._cache: dict[str, AccessDecision] = {}
         self._server = ControlServer(
@@ -146,9 +148,10 @@ class PdpService(Service):
     def _pull_complete(self) -> None:
         pasp_id, pasp_addr = self.cfg.pasp
         try:
-            reply = oneshot(pasp_addr, self.factory.sealed(PolicyExchangeRequest(), pasp_id),
-                            await_reply=True, timeout_s=self.cfg.control_timeout_s)
-            self.gate.open(reply, self.clock())
+            with self.factory.peer_lock(pasp_id):
+                reply = oneshot(pasp_addr, self.factory.sealed(PolicyExchangeRequest(), pasp_id),
+                                await_reply=True, timeout_s=self.cfg.control_timeout_s)
+                self.gate.open(reply, self.clock())
         except (TransportError, OpenFailure) as exc:
             self.metrics.incr("exchange.pull-failed")
             log_event(self.logger, "complete-pull-failed", detail=exc)
@@ -156,7 +159,7 @@ class PdpService(Service):
         if not isinstance(reply.body, PolicyExchangeComplete):
             return
         with self._lock:
-            self._policies = {p.id: p for p in reply.body.policies}
+            self._replace_locked({p.id: p for p in reply.body.policies})
             self._revision = reply.body.revision
             self._cache.clear()
         self.metrics.incr("exchange.complete-pulled")
@@ -171,9 +174,9 @@ class PdpService(Service):
             gap = body.revision - self._revision > len(body.changes)
             for op, pid, policy in body.changes:
                 if op is CrudOp.DELETE:
-                    self._policies.pop(pid, None)
+                    self._file_locked(pid, None)
                 elif policy is not None:
-                    self._policies[pid] = policy
+                    self._file_locked(pid, policy)
                 self._cache.pop(pid, None)
             self._revision = body.revision
         self.metrics.incr("exchange.incremental-applied")
@@ -182,6 +185,24 @@ class PdpService(Service):
         if gap and self.cfg.pasp is not None:
             # Missed at least one push; reconcile with the full set.
             threading.Thread(target=self._pull_complete, daemon=True).start()
+
+    def _replace_locked(self, policies: dict[str, Policy]) -> None:
+        """Make `policies` the replica and file each one in a new index."""
+        self._policies = policies
+        self._index = FlowIndex()
+        for pid, policy in policies.items():
+            self._index.add(policy.flow, pid)
+
+    def _file_locked(self, pid: str, policy: Optional[Policy]) -> None:
+        """Put `policy` in the replica and the index under `pid`; None drops it."""
+        old = self._policies.get(pid)
+        if old is not None:
+            self._index.remove(old.flow, pid)
+        if policy is None:
+            self._policies.pop(pid, None)
+        else:
+            self._policies[pid] = policy
+            self._index.add(policy.flow, pid)
 
     # -- decisions -------------------------------------------------------------
 
@@ -230,10 +251,11 @@ class PdpService(Service):
     def _handle_access_request(self, requester: str, req: AccessRequest) -> None:
         now = self.clock()
         with self._lock:
-            applicable = [
-                p for p in self._policies.values()
-                if match_nested(p.flow, req.request) is not None
-            ]
+            candidates = (self._policies[pid] for pid in self._index.candidates(req.request))
+            applicable = sorted(
+                (p for p in candidates if match_nested(p.flow, req.request) is not None),
+                key=lambda p: p.id,
+            )
             decisions = [self._decision_for(p, now) for p in applicable]
         self.metrics.incr("access-requests")
         if not decisions:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import time
 from typing import Optional
 
 from ..errors import TransportError
@@ -28,24 +29,33 @@ def send_frame(sock: socket.socket, payload: bytes) -> None:
         raise TransportError(f"send failed: {exc}") from None
 
 
-def recv_frame(sock: socket.socket) -> Optional[bytes]:
-    """One length-prefixed frame, or None on orderly EOF at a frame boundary."""
-    header = _recv_exact(sock, 4)
+def recv_frame(sock: socket.socket, deadline: Optional[float] = None) -> Optional[bytes]:
+    """One length-prefixed frame, or None on orderly EOF at a frame boundary.
+
+    With a `deadline` (a `time.monotonic()` value) the whole frame must
+    arrive by then; otherwise the socket's timeout applies to each receive.
+    """
+    header = _recv_exact(sock, 4, deadline)
     if header is None:
         return None
     (length,) = struct.unpack(">I", header)
     if length > _FRAME_CAP:
         raise TransportError(f"frame of {length} bytes exceeds the cap")
-    payload = _recv_exact(sock, length)
+    payload = _recv_exact(sock, length, deadline)
     if payload is None:
         raise TransportError("connection closed mid-frame")
     return payload
 
 
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
+def _recv_exact(sock: socket.socket, n: int, deadline: Optional[float]) -> Optional[bytes]:
     """Exactly `n` bytes, or None on EOF before the first of them."""
     buf = b""
     while len(buf) < n:
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TransportError("receive timed out")
+            sock.settimeout(remaining)
         try:
             chunk = sock.recv(n - len(buf))
         except socket.timeout:
@@ -64,8 +74,10 @@ def send_envelope(sock: socket.socket, env: ProtocolEnvelope) -> None:
     send_frame(sock, encode_envelope(env))
 
 
-def recv_envelope(sock: socket.socket) -> Optional[ProtocolEnvelope]:
-    payload = recv_frame(sock)
+def recv_envelope(
+    sock: socket.socket, deadline: Optional[float] = None
+) -> Optional[ProtocolEnvelope]:
+    payload = recv_frame(sock, deadline)
     return decode_envelope(payload) if payload is not None else None
 
 

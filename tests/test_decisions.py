@@ -5,6 +5,7 @@ import random
 import pytest
 
 from flowgate.decisions import (
+    MEMO_LIMIT,
     AccessDecision,
     DecisionStore,
     compose,
@@ -295,6 +296,47 @@ class TestDecisionStore:
         assert store.matching(GOOSE_REQ, 100)
         store.install(self.grant("eth { goose { appid == 5 } }", 10_000, origin="p2"))
         assert len(store.matching(GOOSE_REQ, 100)) == 2
+
+    def test_replaced_flow_leaves_the_index(self):
+        store = DecisionStore()
+        store.install(self.grant("eth { goose { appid == 5 } }", 10_000, origin="p1"))
+        assert store._index.candidates(GOOSE_REQ)
+        store.install(self.grant("eth { goose { appid == 6 } }", 10_000, origin="p1"))
+        assert store._index.candidates(GOOSE_REQ) == []
+        assert store.matching(GOOSE_REQ, 100) == []
+
+    def test_expired_flow_leaves_the_index(self):
+        store = DecisionStore()
+        store.install(self.grant("eth { goose { appid == 5 } }", until=1_000, origin="p1"))
+        store.install(self.grant("eth { goose { appid == 6 } }", until=10_000, origin="p2"))
+        assert store.matching(GOOSE_REQ, now=1_001) == []
+        assert store._index.candidates(GOOSE_REQ) == []
+        assert len(store) == 1
+
+    def test_memo_bounded_under_a_flood_of_frame_shapes(self):
+        store = DecisionStore()
+        store.install(self.grant("eth { }", until=10**12, origin="any-eth"))
+        store.install(AccessDecision((parse_pattern("eth { ethertype == 0x1234 }"),), Action.DENY,
+                                     frozenset(), 0, 10**12, frozenset({"deny-1234"})))
+        requests = [
+            AccessRequestPattern(request_node("eth", {
+                "src": f"02:00:00:{i >> 16 & 0xFF:02x}:{i >> 8 & 0xFF:02x}:{i & 0xFF:02x}",
+                "ethertype": 0x1234 if i % 7 == 0 else 0x0800,
+            }))
+            for i in range(10_000)
+        ]
+        expected = [Action.DENY if i % 7 == 0 else Action.GRANT for i in range(10_000)]
+        peak = 0
+
+        def verdict(request):
+            nonlocal peak
+            candidates = store.matching(request, 100)
+            peak = max(peak, len(store._memo))
+            return enforce(select_decision(candidates, request), request, 100)[0]
+
+        assert [verdict(r) for r in requests] == expected
+        assert [verdict(r) for r in reversed(requests)] == expected[::-1]
+        assert 0 < peak <= MEMO_LIMIT
 
 
 class TestStoreIssuers:

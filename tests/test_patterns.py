@@ -10,6 +10,7 @@ from flowgate.frames import dissect, goose_frame, udp_frame, _fixed_pdu, tcp_seg
 from flowgate.pattern_text import format_pattern, parse_pattern
 from flowgate.patterns import (
     AccessRequestPattern,
+    FlowIndex,
     FlowPattern,
     MatchOp,
     PredicateKind,
@@ -210,6 +211,75 @@ class TestOracleAgreement:
         for _ in range(1200):
             flow, request = random_flow(rng), random_request(rng)
             assert match_nested(flow, request) == brute_match_nested(flow, request)
+
+    # Flows the random generator never builds: type-distinct pins on one
+    # field, a tunnelled goose flow, and flows that pin nothing with `==`.
+    SPECIAL_FLOWS = [
+        FlowPattern(hierarchy("opaque", eq("length", 1))),
+        FlowPattern(hierarchy("opaque", eq("length", True))),
+        FlowPattern(hierarchy("opaque", eq("length", 1.0))),
+        FlowPattern(hierarchy("eth", hierarchy("goose", eq("appid", 5)))),
+        FlowPattern(hierarchy("eth")),
+        FlowPattern(hierarchy("vlan", where("pcp", MatchOp.IN_SET, {0, 4}))),
+        FlowPattern(hierarchy("opaque", where("length", MatchOp.RANGE, (0, 8)))),
+    ]
+    SPECIAL_REQUESTS = [
+        AccessRequestPattern(request_node("opaque", {"length": 1})),
+        AccessRequestPattern(request_node("opaque", {"length": True})),
+        AccessRequestPattern(request_node("opaque", {"length": 1.0})),
+        # eth carrying eth carrying goose: the root layer repeats
+        AccessRequestPattern(request_node(
+            "eth", {"ethertype": 0x88B8, "src": "02:00:00:00:00:01"},
+            request_node("eth", {"ethertype": 0x88B8, "src": "02:00:00:00:00:02"},
+                         request_node("goose", {"appid": 5, "length": 20})))),
+        AccessRequestPattern(request_node("vlan", {"pcp": 4}, request_node("vlan", {"pcp": 0}))),
+    ]
+
+    def test_flow_index_against_linear_scan(self):
+        rng = random.Random(2026)
+        index = FlowIndex()
+        filed: list[tuple[FlowPattern, int]] = []
+        matches = 0
+        for step in range(1500):
+            if filed and rng.random() < 0.4:
+                flow, item = filed.pop(rng.randrange(len(filed)))
+                index.remove(flow, item)
+            else:
+                flow = rng.choice(self.SPECIAL_FLOWS) if rng.random() < 0.3 else random_flow(rng)
+                # a few items carry several flows, or one flow twice
+                item = rng.randrange(40)
+                index.add(flow, item)
+                filed.append((flow, item))
+            requests = [random_request(rng) for _ in range(3)] + [rng.choice(self.SPECIAL_REQUESTS)]
+            for request in requests:
+                want = {i for f, i in filed if match_nested(f, request) is not None}
+                found = index.candidates(request)
+                assert len(found) == len(set(found))
+                got = {i for i in found
+                       if any(match_nested(f, request) is not None for f, j in filed if j == i)}
+                assert got == want
+                matches += len(want)
+        assert matches > 500  # the generators must actually produce matches
+        for flow, item in filed:
+            index.remove(flow, item)
+        assert all(index.candidates(r) == [] for r in self.SPECIAL_REQUESTS)
+
+    def test_flow_index_is_type_exact(self):
+        index = FlowIndex()
+        for item, flow in enumerate(self.SPECIAL_FLOWS[:3]):
+            index.add(flow, item)
+        one, true, one_float = self.SPECIAL_REQUESTS[:3]
+        assert index.candidates(one) == [0]
+        assert index.candidates(true) == [1]
+        assert index.candidates(one_float) == [2]
+
+    def test_flow_index_probes_every_anchor_of_a_tunnel(self):
+        index = FlowIndex()
+        index.add(self.SPECIAL_FLOWS[3], "goose")
+        index.add(self.SPECIAL_FLOWS[4], "any-eth")
+        tunnel = self.SPECIAL_REQUESTS[3]
+        assert sorted(index.candidates(tunnel)) == ["any-eth", "goose"]
+        assert match_nested(self.SPECIAL_FLOWS[3], tunnel) == ("eth", "eth")
 
 
 class TestTextGrammar:

@@ -1,6 +1,7 @@
 """Service behavior: CRUD and distribution, attribute resolution, access
 request fan-out, and enforcement-point data-path rules."""
 
+import logging
 import socket
 import sys
 import threading
@@ -13,11 +14,14 @@ from flowgate.frames import dissect, goose_frame, udp_frame
 from flowgate.pattern_text import parse_pattern
 from flowgate.policy import Action, AttributeKey, Comparison, CompareOp, Policy, predicate
 from flowgate.services.aasp import AaspService
+from flowgate.services.base import (
+    FIRST_ENVELOPE_TIMEOUT_S, ControlServer, EnvelopeFactory, Metrics,
+)
 from flowgate.services.config import BypassRule, DepRegistryEntry, ServiceConfig
 from flowgate.services.dep import DepService
 from flowgate.services.pasp import PaspService
 from flowgate.services.pdp import PdpService
-from flowgate.wire.auth import NoopAuthenticator, seal
+from flowgate.wire.auth import InboundGate, NoopAuthenticator, seal
 from flowgate.wire.messages import (
     AccessRequest,
     AccessVerificationRequest,
@@ -311,7 +315,7 @@ class TestPdp:
 
     def test_grant_fans_out_to_requester_and_nexthop(self, stack):
         pdp, _, dep_a, dep_b = stack
-        pdp._policies = {"trip": trip_policy()}
+        pdp._replace_locked({"trip": trip_policy()})
         self.send_access_request(pdp, self.GOOSE)
         (to_a,) = dep_a.wait_for(1)
         (to_b,) = dep_b.wait_for(1)
@@ -323,9 +327,9 @@ class TestPdp:
     def test_cached_decision_skips_attribute_fetch(self, stack):
         pdp, _, dep_a, _ = stack
         aux = frozenset({predicate("a1", Comparison("mode", CompareOp.EQ, "normal"))})
-        pdp._policies = {"dyn": Policy("dyn", Action.GRANT,
-                                       parse_pattern("eth { goose { appid == 5 } }"),
-                                       aux, nexthop_ids=frozenset({"dep-b"}))}
+        pdp._replace_locked({"dyn": Policy("dyn", Action.GRANT,
+                                           parse_pattern("eth { goose { appid == 5 } }"),
+                                           aux, nexthop_ids=frozenset({"dep-b"}))})
         self.send_access_request(pdp, self.GOOSE)
         dep_a.wait_for(1)
         calls_after_first = pdp.attribute_source.calls
@@ -336,7 +340,7 @@ class TestPdp:
 
     def test_static_policy_derivation_never_calls_resolver(self, stack):
         pdp, _, dep_a, _ = stack
-        pdp._policies = {"trip": trip_policy()}
+        pdp._replace_locked({"trip": trip_policy()})
         self.send_access_request(pdp, self.GOOSE)
         dep_a.wait_for(1)
         assert pdp.attribute_source.calls == 0
@@ -345,7 +349,7 @@ class TestPdp:
         pdp, _, dep_a, dep_b = stack
         # no explicit nexthop ids: the registry must resolve them
         flow = parse_pattern('eth { ipv4 { dst == "10.0.0.2" udp { dstport == 40001 } } }')
-        pdp._policies = {"fwd": Policy("fwd", Action.GRANT, flow)}
+        pdp._replace_locked({"fwd": Policy("fwd", Action.GRANT, flow)})
         frame = udp_frame("02:00:00:00:00:01", "02:00:00:00:00:02",
                           "10.0.0.1", "10.0.0.2", 40000, 40001, b"12345678")
         self.send_access_request(pdp, frame)
@@ -355,7 +359,7 @@ class TestPdp:
 
     def test_verification_returns_decisions_without_sessions(self, stack):
         pdp, _, dep_a, dep_b = stack
-        pdp._policies = {"trip": trip_policy()}
+        pdp._replace_locked({"trip": trip_policy()})
         env = seal(ProtocolEnvelope("dep-a", time.monotonic_ns(), now_ms(),
                                     AccessVerificationRequest(trip_policy().flow)),
                    NOOP, "pdp-1")
@@ -393,6 +397,134 @@ class TestPdp:
             time.sleep(0.01)
         assert pdp.policies() == []
         assert pdp.revision == 2
+
+    def push(self, pdp, revision, *changes):
+        body = PolicyExchangeIncremental(tuple(changes), revision)
+        env = seal(ProtocolEnvelope("pasp", revision, now_ms(), body), NOOP, "pdp-1")
+        oneshot(pdp.control_address, env, await_reply=False)
+        deadline = time.time() + 2
+        while time.time() < deadline and pdp.revision < revision:
+            time.sleep(0.01)
+        assert pdp.revision == revision
+
+    def test_incremental_update_and_delete_refile_the_index(self, stack):
+        pdp, _, dep_a, _ = stack
+        appid_6 = goose_frame("02:00:00:00:00:01", "01:0c:cd:01:00:01", 6, b"t", pad_to=60)
+        moved = Policy("trip", Action.GRANT, parse_pattern("eth { goose { appid == 6 } }"),
+                       nexthop_ids=frozenset({"dep-b"}))
+        self.push(pdp, 1, (CrudOp.CREATE, "trip", trip_policy()))
+        self.push(pdp, 2, (CrudOp.UPDATE, "trip", moved))
+        assert pdp._index.candidates(dissect(self.GOOSE)) == []
+
+        self.send_access_request(pdp, self.GOOSE)
+        old = dep_a.wait_for(1)[-1].body.decisions
+        assert [(d.action, d.origin_policy_ids) for d in old] == [(Action.DENY, frozenset())]
+        self.send_access_request(pdp, appid_6)
+        new = dep_a.wait_for(2)[-1].body.decisions
+        assert [(d.action, d.origin_policy_ids) for d in new] == [(Action.GRANT, {"trip"})]
+
+        self.push(pdp, 3, (CrudOp.DELETE, "trip", None))
+        assert pdp._index.candidates(dissect(appid_6)) == []
+        self.send_access_request(pdp, appid_6)
+        gone = dep_a.wait_for(3)[-1].body.decisions
+        assert [(d.action, d.origin_policy_ids) for d in gone] == [(Action.DENY, frozenset())]
+
+
+class TestControlServer:
+    def test_envelopes_sent_in_order_are_opened_in_order(self):
+        # Senders seal and send under one lock per peer, one connection per
+        # envelope.  The server must open them in that order, or it rejects
+        # a legitimate envelope as a replay.
+        opened = []
+        server = ControlServer("srv", ("127.0.0.1", 0), InboundGate(NOOP, 60_000),
+                               lambda env, reply: opened.append(env.sequence),
+                               EnvelopeFactory("srv", NOOP), Metrics(), logging.getLogger("test"))
+        server.start()
+        sender = EnvelopeFactory("client", NOOP)
+        threads, per_thread = 4, 25
+
+        def send():
+            for _ in range(per_thread):
+                with sender.peer_lock("srv"):
+                    oneshot(server.address, sender.sealed(PolicyExchangeRequest(), "srv"),
+                            await_reply=False)
+
+        workers = [threading.Thread(target=send) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=20)
+            deadline = time.time() + 5
+            while time.time() < deadline and len(opened) < threads * per_thread:
+                time.sleep(0.01)
+        finally:
+            sys.setswitchinterval(interval)
+            server.stop()
+        assert not any(w.is_alive() for w in workers)
+        assert server._metrics.get("control.rejected") == 0
+        assert len(opened) == threads * per_thread
+
+    def test_silent_connection_is_closed_and_others_served(self):
+        opened = []
+        server = ControlServer("srv", ("127.0.0.1", 0), InboundGate(NOOP, 60_000),
+                               lambda env, reply: opened.append(env.sequence),
+                               EnvelopeFactory("srv", NOOP), Metrics(), logging.getLogger("test"))
+        server.start()
+        sender = EnvelopeFactory("client", NOOP)
+        try:
+            with socket.create_connection(server.address, timeout=5) as silent:
+                oneshot(server.address, sender.sealed(PolicyExchangeRequest(), "srv"),
+                        await_reply=False)
+                assert silent.recv(1) == b""  # closed by the server, unanswered
+            deadline = time.time() + 3
+            while time.time() < deadline and not opened:
+                time.sleep(0.01)
+        finally:
+            server.stop()
+        assert len(opened) == 1
+
+    def test_trickling_connection_does_not_hold_the_accept_loop(self):
+        opened = []
+        server = ControlServer("srv", ("127.0.0.1", 0), InboundGate(NOOP, 60_000),
+                               lambda env, reply: opened.append(env.sequence),
+                               EnvelopeFactory("srv", NOOP), Metrics(), logging.getLogger("test"))
+        server.start()
+        stop = threading.Event()
+        slow = socket.create_connection(server.address, timeout=5)
+
+        def trickle():
+            # A 100-byte frame, one byte every 0.5 s: every receive returns
+            # quickly, but the envelope would take 52 s to complete.
+            for byte in (0, 0, 0, 100) + (0,) * 100:
+                try:
+                    slow.sendall(bytes([byte]))
+                except OSError:
+                    return
+                if stop.wait(0.5):
+                    return
+
+        feeder = threading.Thread(target=trickle, daemon=True)
+        feeder.start()
+        time.sleep(0.2)  # the trickling connection is accepted first
+        sender = EnvelopeFactory("client", NOOP)
+        try:
+            started = time.monotonic()
+            oneshot(server.address, sender.sealed(PolicyExchangeRequest(), "srv"),
+                    await_reply=False)
+            deadline = started + 5
+            while time.monotonic() < deadline and not opened:
+                time.sleep(0.01)
+            elapsed = time.monotonic() - started
+        finally:
+            stop.set()
+            server.stop()
+            feeder.join(5)
+            slow.close()
+        assert len(opened) == 1
+        assert elapsed < FIRST_ENVELOPE_TIMEOUT_S + 0.5
 
 
 class UdpCatcher:
