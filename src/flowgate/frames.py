@@ -10,15 +10,14 @@ too short for an Ethernet header is rejected outright.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from .errors import DissectionError
 from .patterns import (
     AccessRequestPattern,
     RequestNode,
-    Value,
     anchor_points,  # re-exported: anchors belong to the dissection surface
-    request_node,
 )
 
 __all__ = [
@@ -72,7 +71,7 @@ def mac_text(raw: bytes) -> str:
 
 
 def ipv4_text(raw: bytes) -> str:
-    return ".".join(str(b) for b in raw)
+    return "%d.%d.%d.%d" % tuple(raw)
 
 
 def _mac_bytes(text: str) -> bytes:
@@ -89,89 +88,11 @@ def _ipv4_bytes(text: str) -> bytes:
     return bytes(int(p) for p in parts)
 
 
-def _opaque(payload: bytes) -> RequestNode:
-    return request_node("opaque", {"length": len(payload)})
-
-
-def _fixed_pdu_header(layer: str, payload: bytes) -> RequestNode:
-    # GOOSE and SV share the fixed header: APPID, declared length, reserved.
-    if len(payload) < 8:
-        return _opaque(payload)
-    appid = int.from_bytes(payload[0:2], "big")
-    length = int.from_bytes(payload[2:4], "big")
-    return request_node(layer, {"appid": appid, "length": length})
-
-
-def _parse_udp(payload: bytes, options: DissectionOptions) -> RequestNode:
-    if len(payload) < 8:
-        return _opaque(payload)
-    srcport = int.from_bytes(payload[0:2], "big")
-    dstport = int.from_bytes(payload[2:4], "big")
-    inner = payload[8:]
-    if srcport in options.goose_udp_ports or dstport in options.goose_udp_ports:
-        child = _fixed_pdu_header("goose", inner)
-    elif srcport in options.sv_udp_ports or dstport in options.sv_udp_ports:
-        child = _fixed_pdu_header("sv", inner)
-    else:
-        child = _opaque(inner)
-    return request_node("udp", {"srcport": srcport, "dstport": dstport}, child)
-
-
-def _parse_tcp(payload: bytes) -> RequestNode:
-    if len(payload) < 20:
-        return _opaque(payload)
-    offset = (payload[12] >> 4) * 4
-    if offset < 20 or offset > len(payload):
-        return _opaque(payload)
-    facts: dict[str, Value] = {
-        "srcport": int.from_bytes(payload[0:2], "big"),
-        "dstport": int.from_bytes(payload[2:4], "big"),
-        "flags": payload[13],
-    }
-    return request_node("tcp", facts, _opaque(payload[offset:]))
-
-
-def _parse_ipv4(payload: bytes, options: DissectionOptions) -> RequestNode:
-    if len(payload) < 20 or payload[0] >> 4 != 4:
-        return _opaque(payload)
-    ihl = (payload[0] & 0x0F) * 4
-    if ihl < 20 or ihl > len(payload):
-        return _opaque(payload)
-    protocol = payload[9]
-    inner = payload[ihl:]
-    if protocol == 17:
-        child = _parse_udp(inner, options)
-    elif protocol == 6:
-        child = _parse_tcp(inner)
-    else:
-        child = _opaque(inner)
-    facts: dict[str, Value] = {
-        "src": ipv4_text(payload[12:16]),
-        "dst": ipv4_text(payload[16:20]),
-        "protocol": protocol,
-    }
-    return request_node("ipv4", facts, child)
-
-
-def _parse_by_ethertype(ethertype: int, payload: bytes, options: DissectionOptions) -> RequestNode:
-    if ethertype == ETHERTYPE_VLAN:
-        return _parse_vlan(payload, options)
-    if ethertype == ETHERTYPE_IPV4:
-        return _parse_ipv4(payload, options)
-    if ethertype == ETHERTYPE_GOOSE:
-        return _fixed_pdu_header("goose", payload)
-    if ethertype == ETHERTYPE_SV:
-        return _fixed_pdu_header("sv", payload)
-    return _opaque(payload)
-
-
-def _parse_vlan(payload: bytes, options: DissectionOptions) -> RequestNode:
-    if len(payload) < 4:
-        return _opaque(payload)
-    tci = int.from_bytes(payload[0:2], "big")
-    inner_type = int.from_bytes(payload[2:4], "big")
-    child = _parse_by_ethertype(inner_type, payload[4:], options)
-    return request_node("vlan", {"vid": tci & 0x0FFF, "pcp": tci >> 13}, child)
+_TWO_U16 = struct.Struct(">HH")  # VLAN TCI, inner type; UDP ports; GOOSE/SV APPID, length
+_IPV4 = struct.Struct(">B8xB2x4s4s")  # version+IHL, protocol, source, destination
+_TCP = struct.Struct(">HH8xBB")  # ports, data offset, flags
+_BY_ETHERTYPE = {ETHERTYPE_VLAN: "vlan", ETHERTYPE_IPV4: "ipv4", ETHERTYPE_GOOSE: "goose", ETHERTYPE_SV: "sv"}
+_new = object.__new__
 
 
 def dissect(frame: bytes, options: DissectionOptions = DEFAULT_OPTIONS) -> AccessRequestPattern:
@@ -180,16 +101,90 @@ def dissect(frame: bytes, options: DissectionOptions = DEFAULT_OPTIONS) -> Acces
     Raises DissectionError only for frames shorter than an Ethernet header;
     anything else degrades to an opaque anchor instead of failing.
     """
-    if len(frame) < 14:
-        raise DissectionError(f"frame of {len(frame)} bytes is shorter than an Ethernet header")
-    ethertype = int.from_bytes(frame[12:14], "big")
-    facts: dict[str, Value] = {
-        "dst": mac_text(frame[0:6]),
-        "src": mac_text(frame[6:12]),
-        "ethertype": ethertype,
-    }
-    child = _parse_by_ethertype(ethertype, frame[14:], options)
-    return AccessRequestPattern(request_node("eth", facts, child))
+    end = len(frame)
+    if end < 14:
+        raise DissectionError(f"frame of {end} bytes is shorter than an Ethernet header")
+    ethertype = frame[12] << 8 | frame[13]
+    dst, src = mac_text(frame[0:6]), mac_text(frame[6:12])
+    anchors = [("eth", (("dst", dst), ("ethertype", ethertype), ("src", src)))]
+    pos = 14
+    layer = _BY_ETHERTYPE.get(ethertype)
+    # One pass by offset, copying no payload.  Each recognized layer appends
+    # its facts, sorted by field id, and names the next layer; a layer too
+    # short or malformed to read leaves the loop, and the rest of the frame
+    # becomes the opaque anchor.
+    while layer is not None:
+        rest = end - pos
+        if layer == "vlan":
+            if rest < 4:
+                break
+            tci, inner_type = _TWO_U16.unpack_from(frame, pos)
+            anchors.append(("vlan", (("pcp", tci >> 13), ("vid", tci & 0x0FFF))))
+            pos += 4
+            layer = _BY_ETHERTYPE.get(inner_type)
+        elif layer == "ipv4":
+            if rest < 20:
+                break
+            version_ihl, protocol, src_ip, dst_ip = _IPV4.unpack_from(frame, pos)
+            ihl = (version_ihl & 0x0F) * 4
+            if version_ihl >> 4 != 4 or ihl < 20 or ihl > rest:
+                break
+            dst, src = ipv4_text(dst_ip), ipv4_text(src_ip)
+            anchors.append(("ipv4", (("dst", dst), ("protocol", protocol), ("src", src))))
+            pos += ihl
+            layer = "udp" if protocol == 17 else "tcp" if protocol == 6 else None
+        elif layer == "udp":
+            if rest < 8:
+                break
+            srcport, dstport = _TWO_U16.unpack_from(frame, pos)
+            anchors.append(("udp", (("dstport", dstport), ("srcport", srcport))))
+            pos += 8
+            if srcport in options.goose_udp_ports or dstport in options.goose_udp_ports:
+                layer = "goose"
+            elif srcport in options.sv_udp_ports or dstport in options.sv_udp_ports:
+                layer = "sv"
+            else:
+                layer = None
+        elif layer == "tcp":
+            if rest < 20:
+                break
+            srcport, dstport, offset, flags = _TCP.unpack_from(frame, pos)
+            offset = (offset >> 4) * 4
+            if offset < 20 or offset > rest:
+                break
+            anchors.append(("tcp", (("dstport", dstport), ("flags", flags), ("srcport", srcport))))
+            pos += offset
+            layer = None
+        else:
+            # GOOSE and SV share the fixed header: APPID, declared length,
+            # reserved.  Their payload is never parsed, so no anchor follows.
+            if rest < 8:
+                break
+            appid, length = _TWO_U16.unpack_from(frame, pos)
+            anchors.append((layer, (("appid", appid), ("length", length))))
+            return _chain(anchors)
+    anchors.append(("opaque", (("length", end - pos),)))
+    return _chain(anchors)
+
+
+def _chain(anchors: list[tuple[str, tuple]]) -> AccessRequestPattern:
+    """Link (layer, facts) pairs, outermost first, into a request.
+
+    Filling `__dict__` builds the same frozen objects as their constructors
+    (neither class has a `__post_init__`) at half the cost, which was most
+    of a dissection; `tests/test_frames.py` compares the two.
+    """
+    node = None
+    for layer, facts in reversed(anchors):
+        outer = _new(RequestNode)
+        fields = outer.__dict__
+        fields["layer"] = layer
+        fields["facts"] = facts
+        fields["child"] = node
+        node = outer
+    request = _new(AccessRequestPattern)
+    request.__dict__["root"] = node
+    return request
 
 
 # ---------------------------------------------------------------------------

@@ -271,13 +271,17 @@ class AccessRequestPattern:
     def key(self) -> tuple:
         """Hashable, type-exact identity of the facts.
 
-        Each value is paired with its type, because `True == 1 == 1.0` would
-        otherwise let a request stand in for a different one.
+        Each anchor's layer and fact tuple, then the types of all fact values
+        in order, because `True == 1 == 1.0` would otherwise let a request
+        stand in for a different one.
         """
-        return tuple(
-            (node.layer, tuple((fid, type(val), val) for fid, val in node.facts))
-            for node in self.anchors()
-        )
+        parts, types, node = [], [], self.root
+        while node is not None:
+            parts.append((node.layer, node.facts))
+            for _fid, val in node.facts:
+                types.append(type(val))
+            node = node.child
+        return (*parts, tuple(types))
 
 
 def anchor_points(pattern: AccessRequestPattern) -> list[tuple[str, ...]]:

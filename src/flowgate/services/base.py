@@ -87,8 +87,9 @@ class EnvelopeFactory:
         the order their numbers were issued.  A request that awaits a reply
         holds it until the reply is opened, so replies are opened in order.
         """
-        # dict.setdefault is atomic: racing callers get the same lock.
-        return self._peer_locks.setdefault(peer, threading.Lock())
+        # Look up first: setdefault would build a lock on every call.  It is
+        # atomic, so racing callers on a miss still get the same lock.
+        return self._peer_locks.get(peer) or self._peer_locks.setdefault(peer, threading.Lock())
 
 
 #: How long a new control connection may take to deliver its first envelope.

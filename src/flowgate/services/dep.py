@@ -26,8 +26,9 @@ from typing import Callable, Optional
 
 from ..decisions import AccessDecision, DecisionStore, deny_decision, enforce, select_decision
 from ..errors import DissectionError, ServiceStartupError, TransportError
-from ..patterns import AccessRequestPattern, FlowPattern, Specificity, is_more_specific
+from ..patterns import AccessRequestPattern, FlowPattern, Specificity, is_more_specific, match_nested
 from ..policy import Action
+from ..wire import messages  # called as module attributes, which perfbench traces
 from ..wire.auth import AuthFailure, OpenFailure, ReplayFailure, StaleTimestampFailure
 from ..wire.codec import DecodeError
 from ..wire.messages import (
@@ -171,8 +172,6 @@ class DepService(Service):
         self._enforce_egress(frame, request, now)
 
     def _bypass_matches(self, direction: str, request: AccessRequestPattern) -> bool:
-        from ..patterns import match_nested
-
         return any(
             rule.applies(direction) and match_nested(rule.flow, request) is not None
             for rule in self.cfg.bypass_rules
@@ -198,10 +197,8 @@ class DepService(Service):
                 self.metrics.incr("egress.unknown-nexthop")
                 log_event(self.logger, "unknown-nexthop", dep=dep_id)
                 continue
-            from ..wire.messages import encode_envelope
-
             with self.factory.peer_lock(dep_id):
-                datagram = encode_envelope(self.factory.sealed(body, dep_id))
+                datagram = messages.encode_envelope(self.factory.sealed(body, dep_id))
                 try:
                     self._data_sock.sendto(datagram, entry.data)
                     self.metrics.incr("egress.forwarded")
@@ -260,9 +257,7 @@ class DepService(Service):
 
     def handle_datagram(self, datagram: bytes, now: int) -> None:
         try:
-            from ..wire.messages import decode_envelope
-
-            env = decode_envelope(datagram)
+            env = messages.decode_envelope(datagram)
         except DecodeError:
             self._handle_raw_ingress(datagram)
             return

@@ -7,10 +7,10 @@ signs with the sender's static private key, giving receivers verification
 and third parties non-repudiation.  Key material is static configuration —
 there is no exchange or rotation protocol here.
 
-`seal` stamps an envelope's tag over its canonical signing bytes.  The
-receiving side runs an `InboundGate`, which verifies the tag, enforces the
-strictly-increasing per-sender sequence, and rejects timestamps outside the
-configured freshness window.
+`seal` stamps an envelope's tag over its canonical signing bytes, which the
+sealed envelope keeps.  The receiving side runs an `InboundGate`, which
+verifies the tag over the bytes received, enforces the strictly-increasing
+per-sender sequence, and rejects timestamps outside the freshness window.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import hmac as _hmac
 import hashlib
 import threading
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping, Optional, Protocol
 
 from cryptography.exceptions import InvalidSignature
@@ -30,15 +29,9 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from ..errors import FlowgateError
-from .messages import ProtocolEnvelope, signing_bytes
+from .messages import AuthScheme, ProtocolEnvelope, keep_signed, signing_bytes  # re-exports AuthScheme
 
 DEFAULT_FRESHNESS_WINDOW_MS = 2_000
-
-
-class AuthScheme(Enum):
-    NOOP = 0
-    HMAC_SHA512 = 1
-    ED25519 = 2
 
 
 SCHEME_NAMES = {"noop": AuthScheme.NOOP, "hmac-sha512": AuthScheme.HMAC_SHA512, "ed25519": AuthScheme.ED25519}
@@ -149,7 +142,10 @@ class Ed25519Authenticator:
 
 def seal(env: ProtocolEnvelope, auth: Authenticator, peer: str) -> ProtocolEnvelope:
     """Return the envelope with its tag computed for delivery to `peer`."""
-    return env.with_tag(auth.scheme, auth.sign(signing_bytes(env), peer))
+    signed = signing_bytes(env)
+    sealed = ProtocolEnvelope(env.sender_id, env.sequence, env.timestamp, env.body,
+                              auth.scheme, auth.sign(signed, peer), env.version)
+    return keep_signed(sealed, signed)
 
 
 @dataclass
@@ -181,7 +177,8 @@ class InboundGate:
             raise AuthFailure(
                 f"scheme {env.auth_scheme.name} from {env.sender_id!r}; expected {self._auth.scheme.name}"
             )
-        if not self._auth.verify(signing_bytes(env), env.auth_tag, env.sender_id):
+        signed = env.signed if env.signed is not None else signing_bytes(env)
+        if not self._auth.verify(signed, env.auth_tag, env.sender_id):
             raise AuthFailure(f"bad tag from {env.sender_id!r}")
         if abs(now_ms - env.timestamp) > self._window:
             raise StaleTimestampFailure(

@@ -348,12 +348,6 @@ def _read_request_node(r: Reader, depth: int = 0) -> RequestNode:
     return RequestNode(layer, tuple(sorted(facts)), child)
 
 
-def encode_request_pattern(req: AccessRequestPattern) -> bytes:
-    w = Writer()
-    write_request_pattern(w, req)
-    return w.getvalue()
-
-
 def write_request_pattern(w: Writer, req: AccessRequestPattern) -> None:
     _write_request_node(w, req.root)
 

@@ -12,13 +12,15 @@ Envelope layout (all integers big-endian)::
     auth-tag  u16-len
 
 The authentication tag covers the canonical encoding of everything up to
-and including the body.  Control-plane variants travel over a stream
-transport; payload exchange requests travel as single datagrams.
+and including the body; sealed and decoded envelopes keep those bytes.
+Control-plane variants travel over a stream transport; payload exchange
+requests travel as single datagrams.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import struct
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
@@ -31,6 +33,7 @@ from .codec import (
     LengthOverrunError,
     MalformedFieldError,
     Reader,
+    TruncatedBufferError,
     UnknownMessageTypeError,
     UnknownVersionError,
     Writer,
@@ -47,6 +50,16 @@ from .codec import (
 )
 
 PROTOCOL_VERSION = 1
+
+_HEAD = struct.Struct(">BBH")  # version, msg-type, sender-id length: 4 bytes
+_STAMP = struct.Struct(">QQI")  # sequence, timestamp, body length: 20 bytes
+_TAIL = struct.Struct(">BH")  # scheme, auth-tag length: 3 bytes
+
+
+class AuthScheme(Enum):
+    NOOP = 0
+    HMAC_SHA512 = 1
+    ED25519 = 2
 
 
 class MessageType(Enum):
@@ -184,16 +197,23 @@ class ProtocolEnvelope:
     sequence: int
     timestamp: int
     body: MessageBody
-    auth_scheme: "AuthScheme" = None  # type: ignore[assignment]  (set below)
+    auth_scheme: Optional[AuthScheme] = None
     auth_tag: bytes = b""
     version: int = PROTOCOL_VERSION
+    #: The bytes the tag covers, as sealed or as received.  Only `seal` and
+    #: `decode_envelope` set them, so a copy made with `dataclasses.replace`
+    #: has none: it is encoded afresh, and its tag no longer verifies.
+    signed: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def msg_type(self) -> MessageType:
         return _TYPE_OF_BODY[type(self.body)]
 
-    def with_tag(self, scheme, tag: bytes) -> "ProtocolEnvelope":
-        return replace(self, auth_scheme=scheme, auth_tag=tag)
+
+def keep_signed(env: ProtocolEnvelope, signed: bytes) -> ProtocolEnvelope:
+    """`env`, just built with its tag, holding `signed`: the bytes it covers."""
+    object.__setattr__(env, "signed", signed)
+    return env
 
 
 # --- body codecs -------------------------------------------------------------
@@ -239,7 +259,9 @@ def _read_crud_op(r: Reader) -> CrudOp:
 
 def encode_body(body: MessageBody) -> bytes:
     w = Writer()
-    if isinstance(body, PolicyCrudRequest):
+    if isinstance(body, PayloadExchangeRequest):  # the data path's variant
+        w.bytes_u32(body.frame)
+    elif isinstance(body, PolicyCrudRequest):
         w.u8(_CRUD_CODE[body.op]).text(body.policy_id)
         _write_optional_policy(w, body.policy)
     elif isinstance(body, PolicyCrudResponse):
@@ -280,8 +302,6 @@ def encode_body(body: MessageBody) -> bytes:
         write_flow_pattern(w, body.flow)
     elif isinstance(body, AccessVerificationResponse):
         _write_decisions(w, body.decisions)
-    elif isinstance(body, PayloadExchangeRequest):
-        w.bytes_u32(body.frame)
     else:
         raise EncodeError(f"unknown body type {type(body).__name__}")
     return w.getvalue()
@@ -290,7 +310,9 @@ def encode_body(body: MessageBody) -> bytes:
 def decode_body(msg_type: MessageType, data: bytes) -> MessageBody:
     r = Reader(data)
     body: MessageBody
-    if msg_type is MessageType.POLICY_CRUD_REQUEST:
+    if msg_type is MessageType.PAYLOAD_EXCHANGE_REQUEST:  # the data path's variant
+        body = PayloadExchangeRequest(r.bytes_u32())
+    elif msg_type is MessageType.POLICY_CRUD_REQUEST:
         body = PolicyCrudRequest(_read_crud_op(r), r.text(), _read_optional_policy(r))
     elif msg_type is MessageType.POLICY_CRUD_RESPONSE:
         code = r.u8()
@@ -325,8 +347,6 @@ def decode_body(msg_type: MessageType, data: bytes) -> MessageBody:
         body = AccessVerificationRequest(read_flow_pattern(r))
     elif msg_type is MessageType.ACCESS_VERIFICATION_RESPONSE:
         body = AccessVerificationResponse(_read_decisions(r))
-    elif msg_type is MessageType.PAYLOAD_EXCHANGE_REQUEST:
-        body = PayloadExchangeRequest(r.bytes_u32())
     else:  # pragma: no cover - enum is closed
         raise UnknownMessageTypeError(str(msg_type))
     r.expect_end()
@@ -334,6 +354,9 @@ def decode_body(msg_type: MessageType, data: bytes) -> MessageBody:
 
 
 # --- envelope codec -----------------------------------------------------------
+
+_MESSAGE_TYPES = {t.value: t for t in MessageType}
+_SCHEMES = {s.value: s for s in AuthScheme}
 
 
 def signing_bytes(env: ProtocolEnvelope) -> bytes:
@@ -349,41 +372,44 @@ def signing_bytes(env: ProtocolEnvelope) -> bytes:
 
 
 def encode_envelope(env: ProtocolEnvelope) -> bytes:
-    from .auth import AuthScheme
-
     if not isinstance(env.auth_scheme, AuthScheme):
         raise EncodeError("envelope has no authentication scheme; seal it first")
     w = Writer()
-    w.raw(signing_bytes(env))
+    w.raw(env.signed if env.signed is not None else signing_bytes(env))
     w.u8(env.auth_scheme.value)
     w.bytes_u16(env.auth_tag)
     return w.getvalue()
 
 
 def decode_envelope(data: bytes) -> ProtocolEnvelope:
-    from .auth import AuthScheme
-
-    r = Reader(data)
-    version = r.u8()
+    size = len(data)
+    if size < 27:  # the fixed fields alone, around an empty sender-id, body and tag
+        raise TruncatedBufferError(f"envelope of {size} bytes is shorter than its fixed fields")
+    version, type_code, sender_len = _HEAD.unpack_from(data)
     if version != PROTOCOL_VERSION:
         raise UnknownVersionError(f"unsupported protocol version {version}")
-    type_code = r.u8()
+    msg_type = _MESSAGE_TYPES.get(type_code)
+    if msg_type is None:
+        raise UnknownMessageTypeError(f"unknown message type {type_code}")
+    body_start = 24 + sender_len
+    if body_start + 3 > size:
+        raise LengthOverrunError(f"declared sender-id length {sender_len} exceeds the envelope")
     try:
-        msg_type = MessageType(type_code)
-    except ValueError:
-        raise UnknownMessageTypeError(f"unknown message type {type_code}") from None
-    sender = r.text()
-    sequence = r.u64()
-    timestamp = r.u64()
-    body_raw = r.bytes_u32()
-    if len(body_raw) > MAX_BODY_LEN:
-        raise LengthOverrunError(f"declared body length {len(body_raw)} exceeds the {MAX_BODY_LEN} cap")
-    body = decode_body(msg_type, body_raw)
-    scheme_code = r.u8()
-    try:
-        scheme = AuthScheme(scheme_code)
-    except ValueError:
-        raise MalformedFieldError(f"unknown auth scheme {scheme_code}") from None
-    tag = r.bytes_u16()
-    r.expect_end()
-    return ProtocolEnvelope(sender, sequence, timestamp, body, scheme, tag, version)
+        sender = data[4 : 4 + sender_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFieldError(f"invalid utf-8: {exc}") from None
+    sequence, timestamp, body_len = _STAMP.unpack_from(data, 4 + sender_len)
+    if body_len > MAX_BODY_LEN:
+        raise LengthOverrunError(f"declared body length {body_len} exceeds the {MAX_BODY_LEN} cap")
+    body_end = body_start + body_len
+    if body_end + 3 > size:
+        raise LengthOverrunError(f"declared body length {body_len} exceeds the envelope")
+    body = decode_body(msg_type, data[body_start:body_end])
+    scheme_code, tag_len = _TAIL.unpack_from(data, body_end)
+    scheme = _SCHEMES.get(scheme_code)
+    if scheme is None:
+        raise MalformedFieldError(f"unknown auth scheme {scheme_code}")
+    if body_end + 3 + tag_len != size:
+        raise LengthOverrunError(f"declared tag length {tag_len} does not end the envelope")
+    env = ProtocolEnvelope(sender, sequence, timestamp, body, scheme, data[body_end + 3 :], version)
+    return keep_signed(env, data[:body_end])

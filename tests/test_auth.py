@@ -1,6 +1,7 @@
 """Authenticators: published test vectors, tamper rejection, replay gates."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -159,3 +160,51 @@ class TestSigningBytesCoverage:
         assert signing_bytes(base) != signing_bytes(make_env(seq=2))
         assert signing_bytes(base) != signing_bytes(make_env(sender="other", seq=1))
         assert signing_bytes(base) != signing_bytes(make_env(seq=1, ts=1))
+
+
+def keyed_schemes():
+    # "dep-c" holds dep-a's key, so a copy with a changed sender can fail
+    # only on its bytes, never for want of a key.
+    secret = bytes(range(32))
+    peers = {"dep-a": secret, "dep-b": secret, "dep-c": secret}
+    return [
+        ("hmac", HmacSha512Authenticator(peers), HmacSha512Authenticator(peers)),
+        (
+            "ed25519",
+            Ed25519Authenticator(RFC8032_SK, {}),
+            Ed25519Authenticator(None, {"dep-a": RFC8032_PK, "dep-c": RFC8032_PK}),
+        ),
+    ]
+
+
+class TestKeptBytes:
+    """Sealed and decoded envelopes keep the bytes their tag covers; a copy
+    with a changed field must be encoded afresh and fail verification."""
+
+    CHANGES = [
+        ("sequence", 6),
+        ("timestamp", 1_700_000_000_001),
+        ("sender_id", "dep-c"),
+        ("body", AttributeRequest(("load",))),
+    ]
+
+    @pytest.mark.parametrize("origin", ["sealed", "decoded"])
+    @pytest.mark.parametrize("field,value", CHANGES, ids=[c[0] for c in CHANGES])
+    @pytest.mark.parametrize("name,signer,verifier", keyed_schemes())
+    def test_changed_copy_fails_its_tag(self, name, signer, verifier, field, value, origin):
+        env = seal(make_env(seq=5), signer, "dep-b")
+        if origin == "decoded":
+            env = decode_envelope(encode_envelope(env))
+        changed = replace(env, **{field: value})
+        assert decode_envelope(encode_envelope(changed)) == changed
+        with pytest.raises(AuthFailure):
+            InboundGate(verifier).open(changed, now_ms=1_700_000_000_000)
+        InboundGate(verifier).open(env, now_ms=1_700_000_000_000)
+
+    def test_decoded_envelope_keeps_the_bytes_received(self):
+        _, signer, verifier = keyed_schemes()[0]
+        raw = encode_envelope(seal(make_env(seq=5), signer, "dep-b"))
+        env = decode_envelope(raw)
+        assert encode_envelope(env) == raw
+        assert env.signed == raw[: len(env.signed)]
+        assert len(raw) - len(env.signed) == 3 + len(env.auth_tag)

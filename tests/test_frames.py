@@ -15,10 +15,12 @@ from flowgate.frames import (
     ipv4_packet,
     sv_frame,
     tcp_segment,
+    udp_datagram,
     udp_frame,
     vlan_tag,
 )
 from flowgate.pcapio import PcapFormatError, read_pcap, write_pcap
+from dissect_reference import reference_dissect
 
 SRC, DST = "02:00:00:00:00:01", "01:0c:cd:01:00:01"
 
@@ -154,3 +156,85 @@ class TestPcap:
         buf.seek(0)
         (frame,) = list(read_pcap(buf))
         assert layers_of(dissect(frame)) == ["eth", "goose"]
+
+
+class TestAgainstReference:
+    """`dissect` against the dict-based reference dissector, on every
+    truncation of each frame shape, value for value and type for type."""
+
+    OPTIONS = DissectionOptions(goose_udp_ports=frozenset({102}), sv_udp_ports=frozenset({103}))
+
+    @staticmethod
+    def frames(rng):
+        def mac():
+            return rng.randbytes(6).hex(":")
+
+        def ip():
+            return ".".join(str(b) for b in rng.randbytes(4))
+
+        def port():
+            return rng.randrange(1024, 65536)
+
+        def body():
+            return rng.randbytes(rng.randint(0, 12))
+
+        pdu = _fixed_pdu(rng.randrange(65536), body())
+        udp = udp_datagram(port(), port(), body())
+        with_options = bytearray(ipv4_packet(ip(), ip(), 17, udp))
+        with_options[0] = 0x47  # IHL 7: two words of options
+        with_options[20:20] = rng.randbytes(8)
+        bad_offset = bytearray(tcp_segment(port(), port(), rng.randrange(256), body()))
+        bad_offset[12] = rng.choice([0x10, 0x40, 0xF0])  # below 20 bytes, or past the segment
+        tcp_options = bytearray(tcp_segment(port(), port(), rng.randrange(256), body()))
+        tcp_options[12] = 0x60  # data offset 24: one word of options
+        tcp_options[20:20] = rng.randbytes(4)
+        vlan = (rng.randrange(4096), rng.randrange(8))
+        return {
+            "eth": ethernet_frame(mac(), mac(), rng.randrange(65536), body()),
+            "vlan": ethernet_frame(mac(), mac(), 0x8100, vlan_tag(*vlan, 0x0800, ipv4_packet(
+                ip(), ip(), 17, udp))),
+            "vlan-in-vlan": ethernet_frame(mac(), mac(), 0x8100, vlan_tag(
+                *vlan, 0x8100, vlan_tag(rng.randrange(4096), rng.randrange(8), 0x88B8, pdu))),
+            "ipv4-options": ethernet_frame(mac(), mac(), 0x0800, bytes(with_options)),
+            "ipv4-other": ethernet_frame(mac(), mac(), 0x0800, ipv4_packet(ip(), ip(), 99, body())),
+            "udp": udp_frame(mac(), mac(), ip(), ip(), port(), port(), body()),
+            "udp-goose": udp_frame(mac(), mac(), ip(), ip(), port(), 102, pdu),
+            "udp-sv": udp_frame(mac(), mac(), ip(), ip(), 103, port(), pdu),
+            "tcp": ethernet_frame(mac(), mac(), 0x0800, ipv4_packet(
+                ip(), ip(), 6, tcp_segment(port(), port(), rng.randrange(256), body()))),
+            "tcp-options": ethernet_frame(mac(), mac(), 0x0800, ipv4_packet(
+                ip(), ip(), 6, bytes(tcp_options))),
+            "tcp-bad-offset": ethernet_frame(mac(), mac(), 0x0800, ipv4_packet(
+                ip(), ip(), 6, bytes(bad_offset))),
+            "goose": goose_frame(mac(), mac(), rng.randrange(65536), body()),
+            "sv": sv_frame(mac(), mac(), rng.randrange(65536), body()),
+            "unknown-ethertype": ethernet_frame(mac(), mac(), 0x1234, body()),
+        }
+
+    @staticmethod
+    def typed(pattern):
+        return [(a.layer, [(f, type(v), v) for f, v in a.facts]) for a in pattern.anchors()]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_truncation_agrees(self, seed):
+        rng = random.Random(seed)
+        for shape, frame in self.frames(rng).items():
+            for cut in range(len(frame) + 1):
+                part = frame[:cut]
+                if cut < 14:
+                    with pytest.raises(DissectionError):
+                        dissect(part, self.OPTIONS)
+                    continue
+                got, want = dissect(part, self.OPTIONS), reference_dissect(part, self.OPTIONS)
+                assert got == want and hash(got) == hash(want), (shape, cut)
+                assert self.typed(got) == self.typed(want), (shape, cut)
+                assert got.key() == want.key(), (shape, cut)
+
+    def test_random_bytes_agree(self):
+        rng = random.Random(11)
+        for _ in range(20_000):
+            ethertype = rng.choice([0x8100, 0x0800, 0x88B8, 0x88BA, 0x1234]).to_bytes(2, "big")
+            frame = rng.randbytes(12) + ethertype + rng.randbytes(rng.randint(0, 70))
+            got, want = dissect(frame, self.OPTIONS), reference_dissect(frame, self.OPTIONS)
+            assert self.typed(got) == self.typed(want)
+            assert got.key() == want.key()

@@ -430,6 +430,35 @@ class TestPdp:
         assert [(d.action, d.origin_policy_ids) for d in gone] == [(Action.DENY, frozenset())]
 
 
+class TestEnvelopeFactory:
+    def test_racing_callers_share_one_lock_per_peer(self):
+        factory = EnvelopeFactory("client", NOOP)
+        peers = [f"peer-{i}" for i in range(200)]
+        threads = 8
+        start = threading.Barrier(threads)
+        seen = []
+
+        def grab():
+            start.wait(timeout=10)
+            seen.append([factory.peer_lock(p) for p in peers])
+
+        workers = [threading.Thread(target=grab) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert len(seen) == threads
+        for locks in seen:
+            assert all(mine is first for mine, first in zip(locks, seen[0]))
+        assert all(factory.peer_lock(p) is lock for p, lock in zip(peers, seen[0]))
+
+
 class TestControlServer:
     def test_envelopes_sent_in_order_are_opened_in_order(self):
         # Senders seal and send under one lock per peer, one connection per

@@ -142,6 +142,17 @@ class TestDecodeErrors:
             with pytest.raises(DecodeError):
                 decode_envelope(raw[:cut])
 
+    @pytest.mark.parametrize("name", sorted(golden_envelopes()))
+    def test_golden_prefixes_and_extensions(self, name):
+        with open(os.path.join(GOLDEN_DIR, f"{name}.hex")) as fp:
+            frozen = bytes.fromhex(fp.read().strip())
+        for cut in range(len(frozen)):
+            with pytest.raises(DecodeError):
+                decode_envelope(frozen[:cut])
+        for extra in (b"\x00", b"\x01", b"\xff"):
+            with pytest.raises(DecodeError):
+                decode_envelope(frozen + extra)
+
     @settings(max_examples=300, deadline=None)
     @given(st.binary(max_size=400))
     def test_total_on_arbitrary_bytes(self, blob):
