@@ -36,17 +36,9 @@ class AaspService(Service):
             self.factory, self.metrics, self.logger, sock=control_sock, clock=self.clock,
         )
 
-    @property
-    def control_address(self):
-        return self._server.address
-
     def start(self) -> None:
         self._server.start()
         log_event(self.logger, "started", control=self.control_address, attributes=len(self._values))
-
-    def stop(self) -> None:
-        self._server.stop()
-        self.shutdown_dump()
 
     def set_value(self, key: str, value: AttributeValue, freshness_ms: Optional[int] = None) -> None:
         """Runtime update of an attribute value (and optionally its freshness)."""

@@ -18,6 +18,7 @@ precedes authorization.
 
 from __future__ import annotations
 
+import queue
 import socket
 import threading
 from collections import deque
@@ -68,6 +69,10 @@ class DepService(Service):
         self._pending: dict[tuple, _Pending] = {}
         self._pending_lock = threading.Lock()
         self._stop = threading.Event()
+        # Access requests wait here for the writer, so no frame-handling
+        # thread ever blocks on the PDP's connection.
+        self._requests: queue.SimpleQueue = queue.SimpleQueue()
+        self._writer: Optional[threading.Thread] = None
 
         self._server = ControlServer(
             cfg.id, cfg.listen_control or ("127.0.0.1", 0), self.gate, self._handle_control,
@@ -93,10 +98,6 @@ class DepService(Service):
     # -- lifecycle -----------------------------------------------------------
 
     @property
-    def control_address(self) -> Address:
-        return self._server.address
-
-    @property
     def data_address(self) -> Address:
         return self._data_sock.getsockname()[:2]
 
@@ -114,17 +115,18 @@ class DepService(Service):
                   data=self.data_address, capture=self.capture_address)
 
     def stop(self) -> None:
-        self._stop.set()
-        self._server.stop()
+        with self._pending_lock:
+            self._stop.set()  # under the lock: no writer starts after this
+        self._requests.put(None)
+        super().stop()
         for sock in (self._data_sock, self._capture_sock):
             try:
                 sock.close()
             except OSError:
                 pass
-        for t in self._threads:
-            if t.ident is not None:
+        for t in self._threads + [self._writer]:
+            if t is not None and t.ident is not None:
                 t.join(timeout=2)
-        self.shutdown_dump()
 
     # -- socket loops ----------------------------------------------------------
 
@@ -197,7 +199,7 @@ class DepService(Service):
                 self.metrics.incr("egress.unknown-nexthop")
                 log_event(self.logger, "unknown-nexthop", dep=dep_id)
                 continue
-            with self.factory.peer_lock(dep_id):
+            with self.factory.channel(dep_id).lock:
                 datagram = messages.encode_envelope(self.factory.sealed(body, dep_id))
                 try:
                     self._data_sock.sendto(datagram, entry.data)
@@ -229,26 +231,34 @@ class DepService(Service):
                 self.metrics.incr("egress.buffer-overflow")
             pending.frames.append(frame)
             self.metrics.incr("egress.buffered")
-            should_request = now - pending.last_request_ms >= self.cfg.request_timeout_ms
-            if should_request:
-                pending.last_request_ms = now
-        if should_request:
+            if now - pending.last_request_ms < self.cfg.request_timeout_ms:
+                return
+            pending.last_request_ms = now
             self.metrics.incr("egress.access-request")
-            threading.Thread(
-                target=self._send_access_request, args=(request,),
-                name=f"{self.cfg.id}-access-request", daemon=True,
-            ).start()
+            self._requests.put(request)
+            if self._writer is None and not self._stop.is_set():
+                # Started on first use, so a DEP driven through its
+                # handlers without start() still sends.
+                self._writer = threading.Thread(
+                    target=self._write_requests, name=f"{self.cfg.id}-writer", daemon=True,
+                )
+                self._writer.start()
+
+    def _write_requests(self) -> None:
+        """Send queued access requests, in order, until stop() queues None."""
+        while (request := self._requests.get()) is not None:
+            self._send_access_request(request)
 
     def _send_access_request(self, request: AccessRequestPattern) -> None:
         if self.cfg.pdp is None:
             self.metrics.incr("egress.no-pdp")
             return
-        pdp_id, pdp_addr = self.cfg.pdp
+        channel = self.factory.channel(*self.cfg.pdp)
         try:
-            with self.factory.peer_lock(pdp_id):
-                oneshot(pdp_addr, self.factory.sealed(AccessRequest(request), pdp_id),
+            with channel.lock:
+                oneshot(channel, self.factory.sealed(AccessRequest(request), channel.peer),
                         await_reply=False, timeout_s=self.cfg.control_timeout_s)
-            log_event(self.logger, "access-request", pdp=pdp_id)
+            log_event(self.logger, "access-request", pdp=channel.peer)
         except TransportError as exc:
             self.metrics.incr("egress.request-failed")
             log_event(self.logger, "access-request-failed", detail=exc)
@@ -392,15 +402,15 @@ class DepService(Service):
         set for an overlapping flow; an unreachable verifier counts as a
         conflict unless fail-open is configured.
         """
-        verifier_id, verifier_addr = self.cfg.verifier_pdp
+        channel = self.factory.channel(*self.cfg.verifier_pdp)
         conflicted: list[FlowPattern] = []
         for decision in decisions:
             for flow in decision.flows:
                 try:
-                    with self.factory.peer_lock(verifier_id):
+                    with channel.lock:
                         reply = oneshot(
-                            verifier_addr,
-                            self.factory.sealed(AccessVerificationRequest(flow), verifier_id),
+                            channel,
+                            self.factory.sealed(AccessVerificationRequest(flow), channel.peer),
                             await_reply=True, timeout_s=self.cfg.control_timeout_s,
                         )
                         self.gate.open(reply, self.clock())

@@ -28,7 +28,7 @@ from ..wire.messages import (
     ProtocolEnvelope,
 )
 from ..wire.transport import oneshot
-from .base import ControlServer, Service, log_event, now_ms
+from .base import ControlServer, PeerChannel, Service, log_event, now_ms
 from .config import ServiceConfig, load_policy_files
 
 
@@ -53,17 +53,9 @@ class PaspService(Service):
 
     # -- lifecycle ---------------------------------------------------------
 
-    @property
-    def control_address(self):
-        return self._server.address
-
     def start(self) -> None:
         self._server.start()
         log_event(self.logger, "started", control=self.control_address, policies=len(self._policies))
-
-    def stop(self) -> None:
-        self._server.stop()
-        self.shutdown_dump()
 
     @property
     def revision(self) -> int:
@@ -141,27 +133,31 @@ class PaspService(Service):
     # -- distribution ---------------------------------------------------------
 
     def _push_incremental(self, changes, revision: int) -> None:
+        """Write the change to every decision point before the CRUD reply.
+
+        Pushes leave from the control thread in revision order, each on its
+        decision point's channel.
+        """
         body = PolicyExchangeIncremental(tuple(changes), revision)
         for pdp_id, addr in self.cfg.pdp_peers.items():
-            threading.Thread(
-                target=self._push_one, args=(pdp_id, addr, body),
-                name=f"{self.cfg.id}-push-{pdp_id}", daemon=True,
-            ).start()
+            self._push_one(self.factory.channel(pdp_id, addr), body)
 
-    def _push_one(self, pdp_id: str, addr, body: PolicyExchangeIncremental) -> None:
+    def _push_one(self, channel: PeerChannel, body: PolicyExchangeIncremental) -> None:
+        pdp_id = channel.peer
         backoff = self.cfg.push_backoff_ms / 1000.0
         for attempt in range(self.cfg.push_retries):
             try:
-                with self.factory.peer_lock(pdp_id):
-                    oneshot(addr, self.factory.sealed(body, pdp_id), await_reply=False,
+                with channel.lock:
+                    oneshot(channel, self.factory.sealed(body, pdp_id), await_reply=False,
                             timeout_s=self.cfg.control_timeout_s)
                 self.metrics.incr("exchange.incremental-pushed")
                 log_event(self.logger, "incremental-push", pdp=pdp_id, revision=body.revision)
                 return
             except TransportError as exc:
                 log_event(self.logger, "push-retry", pdp=pdp_id, attempt=attempt + 1, detail=exc)
-                time.sleep(backoff)
-                backoff *= 2
+                if attempt + 1 < self.cfg.push_retries:
+                    time.sleep(backoff)  # not holding the channel's lock
+                    backoff *= 2
         self.metrics.incr("exchange.push-failed")
         log_event(self.logger, "push-failed", pdp=pdp_id, revision=body.revision)
 

@@ -35,8 +35,8 @@ from ..wire.messages import (
     SessionInitialization,
     CrudOp,
 )
-from ..wire.transport import Address, oneshot
-from .base import ControlServer, EnvelopeFactory, Service, log_event, now_ms
+from ..wire.transport import oneshot
+from .base import ControlServer, EnvelopeFactory, PeerChannel, Service, log_event, now_ms
 from .config import DepRegistryEntry, ServiceConfig
 
 
@@ -60,12 +60,11 @@ def widen_start(valid_from: int, slack_ms: int) -> int:
 class RemoteAttributeSource:
     """AttributeSource backed by the attribute service's wire interface."""
 
-    def __init__(self, addr: Address, factory: EnvelopeFactory, gate: InboundGate,
-                 peer_id: str, clock: Callable[[], int], timeout_s: float, skew_ms: int):
-        self._addr = addr
+    def __init__(self, channel: PeerChannel, factory: EnvelopeFactory, gate: InboundGate,
+                 clock: Callable[[], int], timeout_s: float, skew_ms: int):
+        self._channel = channel
         self._factory = factory
         self._gate = gate
-        self._peer = peer_id
         self._clock = clock
         self._timeout = timeout_s
         self._skew = skew_ms
@@ -74,9 +73,10 @@ class RemoteAttributeSource:
     def resolve(self, keys: frozenset[str]) -> dict[str, AttributeBinding]:
         self.calls += 1
         request = AttributeRequest(tuple(sorted(keys)))
+        channel = self._channel
         try:
-            with self._factory.peer_lock(self._peer):
-                reply = oneshot(self._addr, self._factory.sealed(request, self._peer),
+            with channel.lock:
+                reply = oneshot(channel, self._factory.sealed(request, channel.peer),
                                 await_reply=True, timeout_s=self._timeout)
                 self._gate.open(reply, self._clock())
         except (TransportError, OpenFailure) as exc:
@@ -111,17 +111,12 @@ class PdpService(Service):
         if attribute_source is not None:
             self.attribute_source = attribute_source
         elif cfg.aasp is not None:
-            aasp_id, aasp_addr = cfg.aasp
             self.attribute_source = RemoteAttributeSource(
-                aasp_addr, self.factory, self.gate, aasp_id, self.clock,
+                self.factory.channel(*cfg.aasp), self.factory, self.gate, self.clock,
                 cfg.control_timeout_s, cfg.clock_skew_slack_ms,
             )
         else:
             self.attribute_source = _EmptySource()
-
-    @property
-    def control_address(self):
-        return self._server.address
 
     @property
     def revision(self) -> int:
@@ -139,17 +134,13 @@ class PdpService(Service):
         log_event(self.logger, "started", control=self.control_address,
                   policies=len(self._policies), revision=self._revision)
 
-    def stop(self) -> None:
-        self._server.stop()
-        self.shutdown_dump()
-
     # -- policy replica ------------------------------------------------------
 
     def _pull_complete(self) -> None:
-        pasp_id, pasp_addr = self.cfg.pasp
+        channel = self.factory.channel(*self.cfg.pasp)
         try:
-            with self.factory.peer_lock(pasp_id):
-                reply = oneshot(pasp_addr, self.factory.sealed(PolicyExchangeRequest(), pasp_id),
+            with channel.lock:
+                reply = oneshot(channel, self.factory.sealed(PolicyExchangeRequest(), channel.peer),
                                 await_reply=True, timeout_s=self.cfg.control_timeout_s)
                 self.gate.open(reply, self.clock())
         except (TransportError, OpenFailure) as exc:
@@ -184,7 +175,7 @@ class PdpService(Service):
                   revision=body.revision)
         if gap and self.cfg.pasp is not None:
             # Missed at least one push; reconcile with the full set.
-            threading.Thread(target=self._pull_complete, daemon=True).start()
+            self._pull_complete()
 
     def _replace_locked(self, policies: dict[str, Policy]) -> None:
         """Make `policies` the replica and file each one in a new index."""
@@ -220,18 +211,29 @@ class PdpService(Service):
                 return matched
         return policy.nexthop_ids
 
-    def _decision_for(self, policy: Policy, now: int) -> AccessDecision:
-        cached = self._cache.get(policy.id)
-        if cached is not None and cached.valid_at(now):
-            self.metrics.incr("decisions.cache-hit")
-            return cached
-        decision = dynamic_authorization(
-            [policy], self.attribute_source, now, self.cfg.catalog,
-            nexthop_resolver=self._nexthop_for, error_retry_ms=self.cfg.error_retry_ms,
-        )[0]
-        self._cache[policy.id] = decision
-        self.metrics.incr("decisions.derived")
-        return decision
+    def _decisions_for(self, policies: list[Policy], now: int) -> list[AccessDecision]:
+        """One decision per policy: the cached one while valid, else a new
+        derivation, which may ask the attribute service and so runs outside
+        `_lock`.  Call without holding it."""
+        with self._lock:
+            cached = [self._cache.get(p.id) for p in policies]
+        out = []
+        for policy, decision in zip(policies, cached):
+            if decision is not None and decision.valid_at(now):
+                self.metrics.incr("decisions.cache-hit")
+            else:
+                decision = dynamic_authorization(
+                    [policy], self.attribute_source, now, self.cfg.catalog,
+                    nexthop_resolver=self._nexthop_for, error_retry_ms=self.cfg.error_retry_ms,
+                )[0]
+                with self._lock:
+                    # A change that arrived meanwhile has dropped the entry;
+                    # keep it dropped rather than cache the old policy's result.
+                    if self._policies.get(policy.id) is policy:
+                        self._cache[policy.id] = decision
+                self.metrics.incr("decisions.derived")
+            out.append(decision)
+        return out
 
     # -- control handling --------------------------------------------------------
 
@@ -256,7 +258,7 @@ class PdpService(Service):
                 (p for p in candidates if match_nested(p.flow, req.request) is not None),
                 key=lambda p: p.id,
             )
-            decisions = [self._decision_for(p, now) for p in applicable]
+        decisions = self._decisions_for(applicable, now)
         self.metrics.incr("access-requests")
         if not decisions:
             decisions = [default_decision(req.request, now, self.cfg.default_deny_ttl_ms)]
@@ -277,9 +279,10 @@ class PdpService(Service):
                 self.metrics.incr("session-init.unknown-dep")
                 log_event(self.logger, "unknown-dep", dep=dep_id)
                 continue
+            channel = self.factory.channel(dep_id, entry.control)
             try:
-                with self.factory.peer_lock(dep_id):
-                    oneshot(entry.control, self.factory.sealed(init, dep_id),
+                with channel.lock:
+                    oneshot(channel, self.factory.sealed(init, dep_id),
                             await_reply=False, timeout_s=self.cfg.control_timeout_s)
                 self.metrics.incr("session-init.sent")
             except TransportError as exc:
@@ -291,7 +294,7 @@ class PdpService(Service):
         key = flow.canonical_bytes()
         with self._lock:
             owners = [p for p in self._policies.values() if p.flow.canonical_bytes() == key]
-            decisions = [self._decision_for(p, now) for p in owners]
+        decisions = self._decisions_for(owners, now)
         self.metrics.incr("verifications")
         if decisions:
             return decisions

@@ -12,7 +12,10 @@ import pytest
 from flowgate.decisions import AccessDecision, deny_decision
 from flowgate.frames import dissect, goose_frame, udp_frame
 from flowgate.pattern_text import parse_pattern
-from flowgate.policy import Action, AttributeKey, Comparison, CompareOp, Policy, predicate
+from flowgate.errors import TransportError
+from flowgate.policy import (
+    Action, AttributeBinding, AttributeKey, Comparison, CompareOp, Policy, predicate,
+)
 from flowgate.services.aasp import AaspService
 from flowgate.services.base import (
     FIRST_ENVELOPE_TIMEOUT_S, ControlServer, EnvelopeFactory, Metrics,
@@ -68,6 +71,7 @@ class EnvelopeSink:
         self.received = []
         self._responder = responder
         self._seq = 0
+        self.connections = 0
         self._lock = threading.Lock()
         self._thread = threading.Thread(target=self._loop, daemon=True)
         self._thread.start()
@@ -82,6 +86,7 @@ class EnvelopeSink:
                 conn, _ = self._sock.accept()
             except OSError:
                 return
+            self.connections += 1
             threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
 
     def _serve(self, conn):
@@ -431,7 +436,7 @@ class TestPdp:
 
 
 class TestEnvelopeFactory:
-    def test_racing_callers_share_one_lock_per_peer(self):
+    def test_racing_callers_share_one_channel_per_peer(self):
         factory = EnvelopeFactory("client", NOOP)
         peers = [f"peer-{i}" for i in range(200)]
         threads = 8
@@ -440,7 +445,7 @@ class TestEnvelopeFactory:
 
         def grab():
             start.wait(timeout=10)
-            seen.append([factory.peer_lock(p) for p in peers])
+            seen.append([factory.channel(p) for p in peers])
 
         workers = [threading.Thread(target=grab) for _ in range(threads)]
         interval = sys.getswitchinterval()
@@ -456,12 +461,12 @@ class TestEnvelopeFactory:
         assert len(seen) == threads
         for locks in seen:
             assert all(mine is first for mine, first in zip(locks, seen[0]))
-        assert all(factory.peer_lock(p) is lock for p, lock in zip(peers, seen[0]))
+        assert all(factory.channel(p) is channel for p, channel in zip(peers, seen[0]))
 
 
 class TestControlServer:
     def test_envelopes_sent_in_order_are_opened_in_order(self):
-        # Senders seal and send under one lock per peer, one connection per
+        # Senders seal and send under one lock, one connection per
         # envelope.  The server must open them in that order, or it rejects
         # a legitimate envelope as a replay.
         opened = []
@@ -470,11 +475,12 @@ class TestControlServer:
                                EnvelopeFactory("srv", NOOP), Metrics(), logging.getLogger("test"))
         server.start()
         sender = EnvelopeFactory("client", NOOP)
+        lock = threading.Lock()
         threads, per_thread = 4, 25
 
         def send():
             for _ in range(per_thread):
-                with sender.peer_lock("srv"):
+                with lock:
                     oneshot(server.address, sender.sealed(PolicyExchangeRequest(), "srv"),
                             await_reply=False)
 
@@ -920,3 +926,301 @@ class TestRawCaptureMode:
             service.stop()
         finally:
             pdp.close()
+
+
+def _udp_to(port: int) -> bytes:
+    return udp_frame("02:00:00:00:00:01", "02:00:00:00:00:02",
+                     "10.0.0.1", "10.0.0.2", 40000, port, b"burst")
+
+
+def _wait_until(condition, seconds: float, sample=lambda: None) -> None:
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline and not condition():
+        sample()
+        time.sleep(0.005)
+    sample()
+
+
+class TestPeerChannel:
+    def test_envelopes_on_one_channel_are_opened_in_order(self):
+        opened = []
+        server = ControlServer("srv", ("127.0.0.1", 0), InboundGate(NOOP, 60_000),
+                               lambda env, reply: opened.append(env.sequence),
+                               EnvelopeFactory("srv", NOOP), Metrics(), logging.getLogger("test"))
+        server.start()
+        sender = EnvelopeFactory("client", NOOP)
+        channel = sender.channel("srv", server.address)
+        threads, per_thread = 4, 50
+
+        def send():
+            for _ in range(per_thread):
+                with channel.lock:
+                    oneshot(channel, sender.sealed(PolicyExchangeRequest(), "srv"), False, 5.0)
+
+        workers = [threading.Thread(target=send) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=20)
+            deadline = time.time() + 5
+            while time.time() < deadline and len(opened) < threads * per_thread:
+                time.sleep(0.01)
+        finally:
+            sys.setswitchinterval(interval)
+            sender.close()
+            server.stop()
+        assert server._metrics.get("control.rejected") == 0
+        assert len(opened) == threads * per_thread
+        assert opened == sorted(opened)
+
+    def test_receiver_closing_an_idle_connection_loses_no_envelope(self):
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(4)
+        listener.settimeout(5)
+        received, closed = [], threading.Event()
+
+        def serve():
+            # Read one envelope per connection, then close it: the first
+            # close happens while the sender has nothing to send.
+            for _ in range(2):
+                conn, _ = listener.accept()
+                with conn:
+                    received.append(recv_envelope(conn).sequence)
+                closed.set()
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        sender = EnvelopeFactory("client", NOOP)
+        channel = sender.channel("srv", listener.getsockname()[:2])
+        try:
+            for _ in range(2):
+                with channel.lock:
+                    oneshot(channel, sender.sealed(PolicyExchangeRequest(), "srv"), False, 5.0)
+                assert closed.wait(5)
+                time.sleep(0.05)  # the close reaches the sender
+            server.join(5)
+        finally:
+            sender.close()
+            listener.close()
+        assert len(received) == 2
+        assert received == sorted(received)
+
+    def test_reply_is_read_on_the_same_connection(self):
+        replies = EnvelopeSink(lambda env: AttributeResolution((), ()))
+        sender = EnvelopeFactory("client", NOOP)
+        channel = sender.channel("stub", replies.address)
+        try:
+            for _ in range(3):
+                with channel.lock:
+                    reply = oneshot(channel, sender.sealed(AttributeRequest(("mode",)), "stub"),
+                                    True, 5.0)
+                assert isinstance(reply.body, AttributeResolution)
+        finally:
+            sender.close()
+            replies.close()
+        assert replies.connections == 1
+
+    def test_closed_channel_refuses_to_send(self):
+        sink = EnvelopeSink()
+        sender = EnvelopeFactory("client", NOOP)
+        channel = sender.channel("sink", sink.address)
+        sender.close()
+        try:
+            with pytest.raises(TransportError), channel.lock:
+                oneshot(channel, sender.sealed(PolicyExchangeRequest(), "sink"), False, 5.0)
+            # A channel made after the factory closed is closed too.
+            late = sender.channel("late", sink.address)
+            with pytest.raises(TransportError), late.lock:
+                oneshot(late, sender.sealed(PolicyExchangeRequest(), "late"), False, 5.0)
+        finally:
+            sink.close()
+        assert sink.received == []
+
+    def test_server_stop_closes_accepted_connections(self):
+        opened = []
+        server = ControlServer("srv", ("127.0.0.1", 0), InboundGate(NOOP, 60_000),
+                               lambda env, reply: opened.append(env.sequence),
+                               EnvelopeFactory("srv", NOOP), Metrics(), logging.getLogger("test"))
+        server.start()
+        sender = EnvelopeFactory("client", NOOP)
+        with socket.create_connection(server.address, timeout=5) as conn:
+            send_envelope(conn, sender.sealed(PolicyExchangeRequest(), "srv"))
+            deadline = time.time() + 3
+            while time.time() < deadline and not opened:
+                time.sleep(0.01)
+            server.stop()
+            assert conn.recv(1) == b""
+        assert opened
+        assert not [t for t in threading.enumerate() if t.name.startswith("srv-")]
+
+
+def _refusing_address():
+    """An address nothing listens on: a connect is refused at once."""
+    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    probe.bind(("127.0.0.1", 0))
+    address = probe.getsockname()[:2]
+    probe.close()
+    return address, []
+
+
+def _silent_address():
+    """A listener whose accept queue is full: a connect hangs until it times out."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(0)
+    address = listener.getsockname()[:2]
+    held = [listener]
+    for _ in range(4):
+        client = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        client.settimeout(0.2)
+        held.append(client)
+        try:
+            client.connect(address)
+        except OSError:
+            break
+    return address, held
+
+
+class TestDepAccessRequests:
+    @pytest.mark.parametrize("unreachable", [_refusing_address, _silent_address])
+    def test_unreachable_pdp_leaves_the_capture_path_prompt(self, unreachable):
+        address, held = unreachable()
+        catcher, deliver = UdpCatcher(), UdpCatcher()
+        service = make_dep(catcher, deliver, type("Gone", (), {"address": address}),
+                           control_timeout_s=0.5)
+        flows = 40
+        try:
+            started = time.monotonic()
+            for port in range(41000, 41000 + flows):
+                service.handle_egress_frame(_udp_to(port), now_ms())
+            elapsed = time.monotonic() - started
+            _wait_until(lambda: service.metrics.get("egress.request-failed") == flows, 5)
+        finally:
+            service.stop()
+            for sock in held + [catcher.sock, deliver.sock]:
+                sock.close()
+        assert elapsed < 0.3
+        assert service.metrics.get("egress.access-request") == flows
+        assert service.metrics.get("egress.request-failed") == flows
+
+
+class TestPdpLock:
+    def test_slow_attribute_source_does_not_stall_a_static_request(self):
+        entered, release = threading.Event(), threading.Event()
+
+        class BlockingSource:
+            calls = 0
+
+            def resolve(self, keys):
+                self.calls += 1
+                entered.set()
+                release.wait(10)
+                return {"mode": AttributeBinding("mode", "normal", now_ms() - 1000,
+                                                 now_ms() + 60_000)}
+
+        dep_a, dep_b = EnvelopeSink(), EnvelopeSink()
+        cfg = ServiceConfig(id="pdp-1", catalog=dict(CATALOG),
+                            registry=_registry(dep_a.address, dep_b.address))
+        pdp = PdpService(cfg, attribute_source=BlockingSource())
+        aux = frozenset({predicate("a1", Comparison("mode", CompareOp.EQ, "normal"))})
+        pdp._replace_locked({
+            "dyn": Policy("dyn", Action.GRANT, parse_pattern("eth { goose { appid == 5 } }"),
+                          aux, nexthop_ids=frozenset({"dep-b"})),
+            "static": Policy("static", Action.GRANT, parse_pattern("eth { goose { appid == 6 } }"),
+                             nexthop_ids=frozenset({"dep-b"})),
+        })
+
+        def request(appid):
+            frame = goose_frame("02:00:00:00:00:01", "01:0c:cd:01:00:01", appid, b"t", pad_to=60)
+            pdp._handle_access_request("dep-a", AccessRequest(dissect(frame)))
+
+        dynamic = threading.Thread(target=request, args=(5,), daemon=True)
+        dynamic.start()
+        try:
+            assert entered.wait(5)
+            static = threading.Thread(target=request, args=(6,), daemon=True)
+            static.start()
+            static.join(2)
+            answered = not static.is_alive()
+            waiting = dynamic.is_alive()
+            granted = [d.origin_policy_ids for e in dep_a.wait_for(1) for d in e.body.decisions]
+        finally:
+            release.set()
+            dynamic.join(5)
+            pdp.stop()
+            dep_a.close()
+            dep_b.close()
+        assert answered and waiting
+        assert granted == [{"static"}]
+
+
+class TestControlPlane:
+    def test_burst_of_new_flows_is_decided_in_one_handshake_each(self):
+        from flowgate.bench.topology import TopologyConfig, run_topology
+        from flowgate.wire.auth import AuthScheme
+
+        ports = range(41000, 41240)
+        granted = ports[::2]
+        policies = [
+            Policy(f"grant-{port}", Action.GRANT,
+                   parse_pattern(f"eth {{ ipv4 {{ udp {{ dstport == {port} }} }} }}"),
+                   nexthop_ids=frozenset({"dep-b"}))
+            for port in granted
+        ]
+        # A lost or rejected request would only be repeated after the
+        # request timeout; make that longer than the test.
+        topo = run_topology(TopologyConfig(scheme=AuthScheme.HMAC_SHA512, policies=policies,
+                                           request_timeout_ms=60_000))
+        dep_a, pdp = topo.services["dep-a"], topo.services["pdp-1"]
+        device = topo.active_device_sock
+        try:
+            # One handshake first, so dep-a's writer and connections exist.
+            device.sendto(_udp_to(40999), topo.active_capture)
+            _wait_until(lambda: dep_a.metrics.get("egress.denied") == 1, 5)
+            before = threading.active_count()
+            peak = [before]
+
+            def sample():
+                peak[0] = max(peak[0], threading.active_count())
+
+            for _ in range(2):  # the second frame of a flow must not ask again
+                for i, port in enumerate(ports):
+                    device.sendto(_udp_to(port), topo.active_capture)
+                    sample()
+                    if i % 10 == 9:
+                        time.sleep(0.002)  # keep within dep-a's capture socket buffer
+            frames = 2 * len(ports) + 1
+            _wait_until(lambda: dep_a.metrics.get("egress.forwarded")
+                        + dep_a.metrics.get("egress.denied") == frames, 20, sample)
+        finally:
+            metrics = topo.shutdown()
+        assert peak[0] == before
+        assert all(m.get("control.rejected", 0) == 0 for m in metrics.values())
+        assert metrics["dep-b"].get("ingress.replay", 0) == 0
+        assert metrics["dep-a"]["egress.access-request"] == len(ports) + 1
+        assert metrics["pdp-1"]["access-requests"] == len(ports) + 1
+        assert metrics["dep-a"].get("egress.request-failed", 0) == 0
+        assert metrics["dep-a"]["egress.forwarded"] == 2 * len(granted)
+        assert metrics["dep-a"]["egress.denied"] == 2 * (len(ports) - len(granted)) + 1
+
+    def test_start_stop_cycles_leave_no_threads_behind(self):
+        from flowgate.bench.topology import TopologyConfig, run_topology
+
+        before = set(threading.enumerate())
+        for _ in range(3):
+            topo = run_topology(TopologyConfig())
+            try:
+                dep_a = topo.services["dep-a"]
+                topo.active_device_sock.sendto(_udp_to(41000), topo.active_capture)
+                _wait_until(lambda: dep_a.metrics.get("egress.denied") == 1, 5)
+                assert dep_a.metrics.get("egress.denied") == 1
+            finally:
+                topo.shutdown()
+        left = []
+        _wait_until(lambda: not left.__setitem__(
+            slice(None), [t for t in threading.enumerate() if t not in before]), 1)
+        assert left == []
