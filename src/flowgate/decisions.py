@@ -6,7 +6,7 @@ points a granted frame must reach, and how long the answer may be trusted.
 Derivation (`dynamic_authorization`) asks an attribute source for the values
 a policy's precondition needs and converts the result into a decision whose
 validity is bounded by the earliest-expiring attribute.  Enforcement
-(`enforce`) is the hot path: match, check validity, return the verdict.
+(`enforce`) gives a frame's verdict, which the store memoizes per frame shape.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ DEFAULT_DENY_TTL_MS = 5_000
 #: Requests a store memoizes before it starts over, so that a sender
 #: spraying distinct frame shapes cannot grow the memo without limit.
 MEMO_LIMIT = 4_096
+#: A frame's verdict: the action and, for a grant, the nexthop set.
+Verdict = tuple[Action, frozenset[str]]
 
 
 @dataclass(frozen=True)
@@ -167,9 +169,7 @@ def _derive_one(
     return deny_decision(flows, now, valid_until, origin)
 
 
-def enforce(
-    decision: AccessDecision, request: AccessRequestPattern, now: int
-) -> tuple[Action, frozenset[str]]:
+def enforce(decision: AccessDecision, request: AccessRequestPattern, now: int) -> Verdict:
     """Verdict of one decision for one frame; every failure is (DENY, ∅)."""
     if not decision.valid_at(now):
         return (Action.DENY, frozenset())
@@ -249,6 +249,11 @@ def _most_specific_flow(flows: list[FlowPattern]) -> FlowPattern:
     return best
 
 
+def judge(valid: list[AccessDecision], request: AccessRequestPattern, now: int) -> Verdict:
+    """Verdict of the selected decision: a store's judge unless given another."""
+    return enforce(select_decision(valid, request), request, now)
+
+
 def default_decision(
     request: AccessRequestPattern, now: int, ttl_ms: int = DEFAULT_DENY_TTL_MS
 ) -> AccessDecision:
@@ -275,16 +280,17 @@ class DecisionStore:
     so two policies' decisions on one flow compose instead of overwriting
     each other.  Lookups never return expired entries.  A flow index narrows
     a lookup to the issuers whose flows may match, and a bounded request-key
-    memo serves repeated traffic without a lookup.
+    memo keeps each verdict while the decisions behind it cannot change.
     """
 
-    def __init__(self):
+    def __init__(self, judge: Callable[..., Verdict] = judge):
         self._lock = threading.Lock()
+        self._judge = judge
         self._by_issuer: dict[object, AccessDecision] = {}
         self._index = FlowIndex()  # every stored flow, filed under its issuer
         self._next_expiry = float("inf")  # earliest valid_until stored
-        # request key -> stored decisions that match it, valid or not
-        self._memo: dict[tuple, list[AccessDecision]] = {}
+        # request key -> (verdict or None, live_from, live_until), both ends closed
+        self._memo: dict[tuple, tuple[Optional[Verdict], float, float]] = {}
 
     def install(self, decision: AccessDecision) -> None:
         issuer = decision.origin_policy_ids or tuple(f.canonical_bytes() for f in decision.flows)
@@ -312,28 +318,35 @@ class DecisionStore:
         if dead:
             self._memo.clear()
 
-    def matching(self, request: AccessRequestPattern, now: int) -> list[AccessDecision]:
-        """Unexpired decisions with at least one flow matching the request."""
+    def verdict(self, request: AccessRequestPattern, now: int) -> Optional[Verdict]:
+        """Verdict of the decisions valid at `now` that match the request, or None."""
         request_key = request.key()
+        # Unlocked: every writer replaces or clears entries under the lock.
+        entry = self._memo.get(request_key)
+        if entry is not None and entry[1] <= now <= entry[2]:
+            return entry[0]
         with self._lock:
-            self._purge_locked(now)
-            matched = self._memo.get(request_key)
-            if matched is None:
-                candidates = (self._by_issuer[i] for i in self._index.candidates(request))
-                matched = [d for d in candidates if d.matching_flows(request)]
-                if len(self._memo) >= MEMO_LIMIT:
-                    self._memo.clear()
-                self._memo[request_key] = matched
-            return [d for d in matched if d.valid_at(now)]
+            return self._lookup_locked(request, request_key, now)[0]
 
-    def lookup_flow(self, flow: FlowPattern, now: int) -> Optional[AccessDecision]:
-        key = flow.canonical_bytes()
+    def matching(self, request: AccessRequestPattern, now: int) -> list[AccessDecision]:
+        """Decisions valid at `now` with at least one flow matching the request."""
         with self._lock:
-            self._purge_locked(now)
-            for decision in self._by_issuer.values():
-                if any(f.canonical_bytes() == key for f in decision.flows):
-                    return decision
-            return None
+            return self._lookup_locked(request, request.key(), now)[1]
+
+    def _lookup_locked(self, request: AccessRequestPattern, request_key: tuple, now: int) -> tuple:
+        self._purge_locked(now)  # so no stored decision has expired at `now`
+        stored = (self._by_issuer[i] for i in self._index.candidates(request))
+        matched = [d for d in stored if d.matching_flows(request)]
+        valid = [d for d in matched if d.valid_from <= now]
+        # The valid set holds until one of them expires or another one starts.
+        live_from = max((d.valid_from for d in valid), default=float("-inf"))
+        live_until = min([d.valid_until for d in valid]
+                         + [d.valid_from - 1 for d in matched if d.valid_from > now], default=float("inf"))
+        verdict = self._judge(valid, request, now) if valid else None
+        if len(self._memo) >= MEMO_LIMIT:
+            self._memo.clear()
+        self._memo[request_key] = (verdict, live_from, live_until)
+        return verdict, valid
 
     def snapshot(self) -> list[AccessDecision]:
         with self._lock:

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from ..decisions import AccessDecision, DecisionStore, deny_decision, enforce, select_decision
+from ..decisions import AccessDecision, DecisionStore, Verdict, deny_decision, enforce, select_decision
 from ..errors import DissectionError, ServiceStartupError, TransportError
 from ..patterns import AccessRequestPattern, FlowPattern, Specificity, is_more_specific, match_nested
 from ..policy import Action
@@ -64,8 +64,8 @@ class DepService(Service):
                  data_sock: Optional[socket.socket] = None,
                  capture_sock: Optional[socket.socket] = None):
         super().__init__(cfg, clock or now_ms)
-        self.egress_decisions = DecisionStore()
-        self.ingress_decisions = DecisionStore()
+        self.egress_decisions = DecisionStore(_judge)
+        self.ingress_decisions = DecisionStore(_judge)
         self._pending: dict[tuple, _Pending] = {}
         self._pending_lock = threading.Lock()
         self._stop = threading.Event()
@@ -180,16 +180,14 @@ class DepService(Service):
         )
 
     def _enforce_egress(self, frame: bytes, request: AccessRequestPattern, now: int) -> None:
-        candidates = self.egress_decisions.matching(request, now)
-        if candidates:
-            selected = select_decision(candidates, request)
-            action, nexthops = enforce(selected, request, now)
-            if action is Action.GRANT:
-                self._forward_granted(frame, nexthops)
-            else:
-                self.metrics.incr("egress.denied")
-            return
-        self._buffer_and_request(frame, request, now)
+        verdict = (self.egress_decisions.verdict(request, now)
+                   or self._buffer_and_request(frame, request, now))
+        if verdict is None:
+            return  # buffered
+        if verdict[0] is Action.GRANT:
+            self._forward_granted(frame, verdict[1])
+        else:
+            self.metrics.incr("egress.denied")
 
     def _forward_granted(self, frame: bytes, nexthops: frozenset[str]) -> None:
         body = PayloadExchangeRequest(frame)
@@ -219,11 +217,16 @@ class DepService(Service):
             except OSError:
                 self.metrics.incr("egress.send-failed")
 
-    def _buffer_and_request(self, frame: bytes, request: AccessRequestPattern, now: int) -> None:
+    def _buffer_and_request(self, frame: bytes, request: AccessRequestPattern, now: int) -> Optional[Verdict]:
         key = request.key()
         with self._pending_lock:
             pending = self._pending.get(key)
             if pending is None:
+                # Under the drain's lock: the flow may have been decided, and
+                # drained, since the caller found no verdict.
+                verdict = self.egress_decisions.verdict(request, now)
+                if verdict is not None:
+                    return verdict
                 pending = _Pending(request, deque())
                 self._pending[key] = pending
             if len(pending.frames) >= self.cfg.buffer_limit:
@@ -232,7 +235,7 @@ class DepService(Service):
             pending.frames.append(frame)
             self.metrics.incr("egress.buffered")
             if now - pending.last_request_ms < self.cfg.request_timeout_ms:
-                return
+                return None
             pending.last_request_ms = now
             self.metrics.incr("egress.access-request")
             self._requests.put(request)
@@ -308,14 +311,11 @@ class DepService(Service):
         except DissectionError:
             self.metrics.incr("ingress.dissect-error")
             return
-        candidates = self.ingress_decisions.matching(request, now)
-        if not candidates:
+        verdict = self.ingress_decisions.verdict(request, now)
+        if verdict is None:
             # The sender's side initiates authorization; receivers just drop.
             self.metrics.incr("ingress.no-decision")
-            return
-        selected = select_decision(candidates, request)
-        action, nexthops = enforce(selected, request, now)
-        if action is Action.GRANT and self.cfg.id in nexthops:
+        elif verdict[0] is Action.GRANT and self.cfg.id in verdict[1]:
             self._deliver(frame)
             self.metrics.incr("ingress.delivered")
         else:
@@ -378,12 +378,9 @@ class DepService(Service):
 
     def _drain_pending(self, now: int) -> None:
         with self._pending_lock:
-            ready = [
-                key
-                for key, p in self._pending.items()
-                if self.egress_decisions.matching(p.request, now)
-            ]
-            drained = [(self._pending.pop(key)) for key in ready]
+            decided = self.egress_decisions.verdict
+            ready = [key for key, p in self._pending.items() if decided(p.request, now) is not None]
+            drained = [self._pending.pop(key) for key in ready]
         for pending in drained:
             log_event(self.logger, "drain", frames=len(pending.frames))
             while pending.frames:
@@ -431,6 +428,11 @@ class DepService(Service):
                 ):
                     conflicted.append(flow)
         return conflicted or None
+
+
+def _judge(valid: list[AccessDecision], request: AccessRequestPattern, now: int) -> Verdict:
+    # Through this module's bindings, which perfbench traces on a memo miss.
+    return enforce(select_decision(valid, request), request, now)
 
 
 def _overlapping(a: FlowPattern, b: FlowPattern) -> bool:

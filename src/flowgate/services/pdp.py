@@ -212,14 +212,16 @@ class PdpService(Service):
         return policy.nexthop_ids
 
     def _decisions_for(self, policies: list[Policy], now: int) -> list[AccessDecision]:
-        """One decision per policy: the cached one while valid, else a new
-        derivation, which may ask the attribute service and so runs outside
-        `_lock`.  Call without holding it."""
+        """One decision per policy: the cached one while it outlives the skew
+        slack, else a new derivation, which may ask the attribute service and
+        so runs outside `_lock`.  Call without holding it."""
         with self._lock:
             cached = [self._cache.get(p.id) for p in policies]
         out = []
         for policy, decision in zip(policies, cached):
-            if decision is not None and decision.valid_at(now):
+            # A decision that lapses within the DEPs' skew slack would be
+            # dropped on arrival there, so it is derived again instead.
+            if decision is not None and decision.valid_at(now + self.cfg.clock_skew_slack_ms):
                 self.metrics.incr("decisions.cache-hit")
             else:
                 decision = dynamic_authorization(

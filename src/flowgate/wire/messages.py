@@ -364,11 +364,13 @@ def signing_bytes(env: ProtocolEnvelope) -> bytes:
     body = encode_body(env.body)
     if len(body) > MAX_BODY_LEN:
         raise EncodeError(f"body of {len(body)} bytes exceeds {MAX_BODY_LEN}")
-    w = Writer()
-    w.u8(env.version).u8(env.msg_type.value).text(env.sender_id)
-    w.u64(env.sequence).u64(env.timestamp)
-    w.bytes_u32(body)
-    return w.getvalue()
+    sender = env.sender_id.encode("utf-8")
+    try:
+        head = _HEAD.pack(env.version, env.msg_type.value, len(sender))
+        stamp = _STAMP.pack(env.sequence, env.timestamp, len(body))
+    except struct.error as exc:
+        raise EncodeError(f"envelope header field out of range: {exc}") from None
+    return b"".join((head, sender, stamp, body))
 
 
 def encode_envelope(env: ProtocolEnvelope) -> bytes:

@@ -287,8 +287,10 @@ class TestDecisionStore:
         composite = compose([a, b])
         store = DecisionStore()
         store.install(composite)
-        assert store.lookup_flow(a.flows[0], 0) == composite
-        assert store.lookup_flow(b.flows[0], 0) == composite
+        for src, appid, flow in (("02:00:00:00:00:02", 5, a.flows[0]), ("02:00:00:00:00:01", 6, b.flows[0])):
+            request = dissect(goose_frame(src, "01:0c:cd:01:00:01", appid, b"abc", pad_to=60))
+            assert composite.matching_flows(request) == [flow]
+            assert store.matching(request, 0) == [composite]
 
     def test_memo_does_not_leak_stale_results(self):
         store = DecisionStore()
@@ -374,6 +376,64 @@ class TestStoreIssuers:
         for flow in ("opaque { length == 1 }", "opaque { length == true }"):
             store.install(deny_decision((parse_pattern(flow),), 0, 10_000))
         assert len(store) == 2
+
+
+class TestVerdictMemo:
+    """A memoized verdict always equals the one judged afresh from `matching`."""
+
+    REQUESTS = [
+        GOOSE_REQ,
+        # eth carrying eth carrying goose: a tunnel
+        AccessRequestPattern(request_node(
+            "eth", {"ethertype": 0x88B8, "src": "02:00:00:00:00:01"},
+            request_node("eth", {"ethertype": 0x88B8, "src": "02:00:00:00:00:02"},
+                         request_node("goose", {"appid": 5, "length": 20})))),
+        AccessRequestPattern(request_node("opaque", {"length": 1})),
+        AccessRequestPattern(request_node("opaque", {"length": True})),
+    ]
+    FLOWS = [
+        "eth { }",
+        "eth { goose { } }",
+        "eth { goose { appid == 5 } }",
+        'eth { src == "02:00:00:00:00:01" }',
+        'eth { src == "02:00:00:00:00:02" goose { } }',
+        "eth { eth { goose { appid == 5 } } }",
+    ]
+    ORIGINLESS = ["opaque { length == 1 }", "opaque { length == true }"]
+
+    def random_decision(self, rng):
+        valid_from = rng.randint(0, 900)
+        valid_until = valid_from + rng.randint(0, 600)
+        if rng.random() < 0.2:  # a default or fallback denial: its flow is its issuer
+            return deny_decision((parse_pattern(rng.choice(self.ORIGINLESS)),), valid_from, valid_until)
+        flows = tuple(parse_pattern(f) for f in rng.sample(self.FLOWS, rng.randint(1, 2)))
+        origin = frozenset({f"p{rng.randrange(5)}"})  # a repeated issuer replaces its decision
+        if rng.random() < 0.5:
+            return deny_decision(flows, valid_from, valid_until, origin)
+        hops = frozenset(rng.sample(["dep-a", "dep-b"], rng.randint(1, 2)))
+        return AccessDecision(flows, Action.GRANT, hops, valid_from, valid_until, origin)
+
+    def test_cached_verdict_equals_a_fresh_judgement(self):
+        rng = random.Random(606)
+        hits = mixed = 0
+        for _ in range(150):
+            store, installed = DecisionStore(), []
+            for _ in range(40):
+                if rng.random() < 0.3:
+                    installed.append(self.random_decision(rng))
+                    store.install(installed[-1])
+                    continue
+                request = rng.choice(self.REQUESTS)
+                edges = [t for d in installed for t in (d.valid_from, d.valid_until, d.valid_until + 1)]
+                now = rng.choice(edges) if edges and rng.random() < 0.5 else rng.randint(0, 1_600)
+                entry = store._memo.get(request.key())
+                hits += entry is not None and entry[1] <= now <= entry[2]
+                cached = store.verdict(request, now)
+                valid = store.matching(request, now)
+                expected = enforce(select_decision(valid, request), request, now) if valid else None
+                assert cached == expected
+                mixed += len({d.action for d in valid}) == 2
+        assert hits > 500 and mixed > 10  # the generator must exercise the memo and composition
 
 
 class TestRandomizedLaws:

@@ -343,6 +343,20 @@ class TestPdp:
         dep_a.wait_for(2)
         assert pdp.attribute_source.calls == calls_after_first  # cache hit
 
+    def test_decision_lapsing_within_the_skew_slack_is_derived_again(self, stack):
+        pdp, _, _, _ = stack
+        policy = Policy("short", Action.GRANT, parse_pattern("eth { goose { appid == 5 } }"),
+                        static_max_validity=1_000, nexthop_ids=frozenset({"dep-b"}))
+        pdp._replace_locked({"short": policy})
+        slack = pdp.cfg.clock_skew_slack_ms
+        (first,) = pdp._decisions_for([policy], 10_000)
+        assert first.valid_until == 11_000
+        assert pdp._decisions_for([policy], 11_000 - slack) == [first]
+        assert (pdp.metrics.get("decisions.derived"), pdp.metrics.get("decisions.cache-hit")) == (1, 1)
+        (renewed,) = pdp._decisions_for([policy], 11_000 - slack + 1)
+        assert renewed.valid_until == 12_000 - slack + 1
+        assert (pdp.metrics.get("decisions.derived"), pdp.metrics.get("decisions.cache-hit")) == (2, 1)
+
     def test_static_policy_derivation_never_calls_resolver(self, stack):
         pdp, _, dep_a, _ = stack
         pdp._replace_locked({"trip": trip_policy()})
@@ -725,6 +739,25 @@ class TestDepEgress:
         service.install_decisions((grant_to_b(),), now)
         forwarded = [decode_envelope(d).body.frame for d in catcher.drain()]
         assert forwarded == frames  # FIFO order preserved
+        assert not service._pending
+
+    def test_frame_that_read_no_verdict_before_a_drain_is_not_buffered_again(self, dep):
+        service, catcher, _, _ = dep
+        now = now_ms()
+        service.handle_egress_frame(GOOSE_FRAME, now)  # buffered, one access request
+        store = service.egress_decisions
+        read = store.verdict
+
+        def stale(request, at):
+            # The session lands, and drains the flow, after this frame read no verdict.
+            store.verdict = read
+            service.install_decisions((grant_to_b(),), at)
+            return None
+
+        store.verdict = stale
+        service.handle_egress_frame(GOOSE_FRAME, now)
+        assert len(catcher.drain()) == 2
+        assert service.metrics.get("egress.access-request") == 1
         assert not service._pending
 
     def test_bypass_skips_authorization_entirely(self, dep):
