@@ -35,6 +35,8 @@ def now_ms() -> int:
 
 def log_event(logger: logging.Logger, event: str, **fields) -> None:
     """One structured line per event: ``event=... key=value ...``."""
+    if not logger.isEnabledFor(logging.INFO):
+        return  # formatting the line costs more than the check
     parts = [f"event={event}"]
     parts.extend(f"{k.replace('_', '-')}={v}" for k, v in fields.items())
     logger.info(" ".join(parts))

@@ -86,10 +86,13 @@ class DepService(Service):
             self._capture_sock = capture_sock or _bind_udp(
                 cfg.device_capture or ("127.0.0.1", 0), cfg.id, "device-capture"
             )
-        # recvfrom() does not reliably wake when stop() closes the socket
-        # from another thread; poll instead.
-        self._data_sock.settimeout(0.2)
-        self._capture_sock.settimeout(0.2)
+        # The loops block in recvfrom() with no timeout, so no poll() runs
+        # before each datagram.  stop() wakes them with shutdown(SHUT_RD),
+        # after which recvfrom() returns an empty read at once and sends
+        # still work.  A raw capture socket cannot be shut down: it alone
+        # polls, so its loop sees the stop within 0.2 s.
+        self._data_sock.settimeout(None)
+        self._capture_sock.settimeout(0.2 if self._raw_capture else None)
         self._threads = [
             threading.Thread(target=self._capture_loop, name=f"{cfg.id}-capture", daemon=True),
             threading.Thread(target=self._data_loop, name=f"{cfg.id}-data", daemon=True),
@@ -118,15 +121,17 @@ class DepService(Service):
         with self._pending_lock:
             self._stop.set()  # under the lock: no writer starts after this
         self._requests.put(None)
-        super().stop()
         for sock in (self._data_sock, self._capture_sock):
             try:
-                sock.close()
+                sock.shutdown(socket.SHUT_RD)  # wakes the loop blocked on it
             except OSError:
-                pass
+                pass  # an unconnected UDP socket reports ENOTCONN, but wakes
+        super().stop()
         for t in self._threads + [self._writer]:
             if t is not None and t.ident is not None:
                 t.join(timeout=2)
+        for sock in (self._data_sock, self._capture_sock):
+            sock.close()
 
     # -- socket loops ----------------------------------------------------------
 
@@ -135,9 +140,11 @@ class DepService(Service):
             try:
                 frame, _ = self._capture_sock.recvfrom(_MAX_DATAGRAM)
             except socket.timeout:
-                continue
+                continue  # raw capture only
             except OSError:
                 return
+            if self._stop.is_set():
+                return  # stop() woke this read: it is no frame
             try:
                 self.handle_egress_frame(frame, self.clock())
             except Exception:
@@ -150,10 +157,10 @@ class DepService(Service):
         while not self._stop.is_set():
             try:
                 datagram, _ = self._data_sock.recvfrom(_MAX_DATAGRAM)
-            except socket.timeout:
-                continue
             except OSError:
                 return
+            if self._stop.is_set():
+                return  # stop() woke this read: it is no datagram
             try:
                 self.handle_datagram(datagram, self.clock())
             except Exception:
@@ -168,7 +175,7 @@ class DepService(Service):
         except DissectionError:
             self.metrics.incr("egress.dissect-error")
             return
-        if self._bypass_matches("egress", request):
+        if self.cfg.bypass_rules and self._bypass_matches("egress", request):
             self._forward_bypass(frame)
             return
         self._enforce_egress(frame, request, now)

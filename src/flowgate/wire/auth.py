@@ -7,10 +7,11 @@ signs with the sender's static private key, giving receivers verification
 and third parties non-repudiation.  Key material is static configuration —
 there is no exchange or rotation protocol here.
 
-`seal` stamps an envelope's tag over its canonical signing bytes, which the
-sealed envelope keeps.  The receiving side runs an `InboundGate`, which
-verifies the tag over the bytes received, enforces the strictly-increasing
-per-sender sequence, and rejects timestamps outside the freshness window.
+`seal` completes a freshly built envelope in place with its tag over its
+canonical signing bytes, which the sealed envelope keeps.  The receiving
+side runs an `InboundGate`, which verifies the tag over the bytes received,
+enforces the strictly-increasing per-sender sequence, and rejects
+timestamps outside the freshness window.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import hmac as _hmac
 import hashlib
 import threading
-from dataclasses import dataclass
 from typing import Mapping, Optional, Protocol
 
 from cryptography.exceptions import InvalidSignature
@@ -29,7 +29,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from ..errors import FlowgateError
-from .messages import AuthScheme, ProtocolEnvelope, keep_signed, signing_bytes  # re-exports AuthScheme
+from .messages import AuthScheme, ProtocolEnvelope, signing_bytes  # re-exports AuthScheme
 
 DEFAULT_FRESHNESS_WINDOW_MS = 2_000
 
@@ -141,16 +141,17 @@ class Ed25519Authenticator:
 
 
 def seal(env: ProtocolEnvelope, auth: Authenticator, peer: str) -> ProtocolEnvelope:
-    """Return the envelope with its tag computed for delivery to `peer`."""
+    """Set `env`'s scheme and its tag for delivery to `peer`, and return it.
+
+    `env` is completed in place, so each message is built once; seal only an
+    envelope that nothing else holds yet.  One that already keeps signed
+    bytes (a sealed or a decoded one) is refused with ValueError.
+    """
+    if env.signed is not None:
+        raise ValueError(f"envelope {env.sequence} from {env.sender_id!r} already holds signed bytes")
     signed = signing_bytes(env)
-    sealed = ProtocolEnvelope(env.sender_id, env.sequence, env.timestamp, env.body,
-                              auth.scheme, auth.sign(signed, peer), env.version)
-    return keep_signed(sealed, signed)
-
-
-@dataclass
-class _PeerState:
-    last_sequence: int = -1
+    env.__dict__.update(auth_scheme=auth.scheme, auth_tag=auth.sign(signed, peer), signed=signed)
+    return env
 
 
 class InboundGate:
@@ -169,7 +170,7 @@ class InboundGate:
     ):
         self._auth = auth
         self._window = freshness_window_ms
-        self._peers: dict[str, _PeerState] = {}
+        self._last_sequence: dict[str, int] = {}
         self._lock = threading.Lock()
 
     def open(self, env: ProtocolEnvelope, now_ms: int) -> None:
@@ -185,12 +186,11 @@ class InboundGate:
                 f"timestamp {env.timestamp} outside ±{self._window} ms of {now_ms}"
             )
         with self._lock:
-            state = self._peers.setdefault(env.sender_id, _PeerState())
-            if env.sequence <= state.last_sequence:
+            if env.sequence <= self._last_sequence.get(env.sender_id, -1):
                 raise ReplayFailure(
                     f"sequence {env.sequence} from {env.sender_id!r} already seen"
                 )
-            state.last_sequence = env.sequence
+            self._last_sequence[env.sender_id] = env.sequence
 
 
 class SequenceCounter:

@@ -469,10 +469,10 @@ def read_binding(r: Reader) -> AttributeBinding:
 
 
 def write_decision(w: Writer, d) -> None:
-    flows = sorted(d.flows, key=encode_flow_pattern)
+    flows = sorted(encode_flow_pattern(f) for f in d.flows)  # each encoded once
     w.u16(len(flows))
     for f in flows:
-        write_flow_pattern(w, f)
+        w.raw(f)
     w.u8(_ACTION_CODE[d.action])
     hops = sorted(d.nexthop)
     w.u16(len(hops))

@@ -54,6 +54,7 @@ PROTOCOL_VERSION = 1
 _HEAD = struct.Struct(">BBH")  # version, msg-type, sender-id length: 4 bytes
 _STAMP = struct.Struct(">QQI")  # sequence, timestamp, body length: 20 bytes
 _TAIL = struct.Struct(">BH")  # scheme, auth-tag length: 3 bytes
+_FRAME_LEN = struct.Struct(">I")  # a payload exchange body: this, then the frame
 
 
 class AuthScheme(Enum):
@@ -210,12 +211,6 @@ class ProtocolEnvelope:
         return _TYPE_OF_BODY[type(self.body)]
 
 
-def keep_signed(env: ProtocolEnvelope, signed: bytes) -> ProtocolEnvelope:
-    """`env`, just built with its tag, holding `signed`: the bytes it covers."""
-    object.__setattr__(env, "signed", signed)
-    return env
-
-
 # --- body codecs -------------------------------------------------------------
 
 
@@ -258,10 +253,10 @@ def _read_crud_op(r: Reader) -> CrudOp:
 
 
 def encode_body(body: MessageBody) -> bytes:
-    w = Writer()
     if isinstance(body, PayloadExchangeRequest):  # the data path's variant
-        w.bytes_u32(body.frame)
-    elif isinstance(body, PolicyCrudRequest):
+        return _FRAME_LEN.pack(len(body.frame)) + body.frame
+    w = Writer()
+    if isinstance(body, PolicyCrudRequest):
         w.u8(_CRUD_CODE[body.op]).text(body.policy_id)
         _write_optional_policy(w, body.policy)
     elif isinstance(body, PolicyCrudResponse):
@@ -308,11 +303,15 @@ def encode_body(body: MessageBody) -> bytes:
 
 
 def decode_body(msg_type: MessageType, data: bytes) -> MessageBody:
+    if msg_type is MessageType.PAYLOAD_EXCHANGE_REQUEST:  # the data path's variant
+        if len(data) < 4:
+            raise TruncatedBufferError(f"payload body of {len(data)} bytes has no frame length")
+        if _FRAME_LEN.unpack_from(data)[0] != len(data) - 4:
+            raise LengthOverrunError(f"declared frame length does not fill the {len(data)}-byte body")
+        return PayloadExchangeRequest(data[4:])
     r = Reader(data)
     body: MessageBody
-    if msg_type is MessageType.PAYLOAD_EXCHANGE_REQUEST:  # the data path's variant
-        body = PayloadExchangeRequest(r.bytes_u32())
-    elif msg_type is MessageType.POLICY_CRUD_REQUEST:
+    if msg_type is MessageType.POLICY_CRUD_REQUEST:
         body = PolicyCrudRequest(_read_crud_op(r), r.text(), _read_optional_policy(r))
     elif msg_type is MessageType.POLICY_CRUD_RESPONSE:
         code = r.u8()
@@ -376,11 +375,12 @@ def signing_bytes(env: ProtocolEnvelope) -> bytes:
 def encode_envelope(env: ProtocolEnvelope) -> bytes:
     if not isinstance(env.auth_scheme, AuthScheme):
         raise EncodeError("envelope has no authentication scheme; seal it first")
-    w = Writer()
-    w.raw(env.signed if env.signed is not None else signing_bytes(env))
-    w.u8(env.auth_scheme.value)
-    w.bytes_u16(env.auth_tag)
-    return w.getvalue()
+    signed = env.signed if env.signed is not None else signing_bytes(env)
+    try:
+        tail = _TAIL.pack(env.auth_scheme.value, len(env.auth_tag))
+    except struct.error:
+        raise EncodeError(f"auth tag of {len(env.auth_tag)} bytes exceeds a u16 length") from None
+    return b"".join((signed, tail, env.auth_tag))
 
 
 def decode_envelope(data: bytes) -> ProtocolEnvelope:
@@ -414,4 +414,5 @@ def decode_envelope(data: bytes) -> ProtocolEnvelope:
     if body_end + 3 + tag_len != size:
         raise LengthOverrunError(f"declared tag length {tag_len} does not end the envelope")
     env = ProtocolEnvelope(sender, sequence, timestamp, body, scheme, data[body_end + 3 :], version)
-    return keep_signed(env, data[:body_end])
+    object.__setattr__(env, "signed", data[:body_end])
+    return env

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from flowgate.services.base import EnvelopeFactory
 from flowgate.wire.auth import (
     AuthFailure,
     Ed25519Authenticator,
@@ -16,8 +17,10 @@ from flowgate.wire.auth import (
     StaleTimestampFailure,
     seal,
 )
+from flowgate.wire.codec import Writer
 from flowgate.wire.messages import (
     AttributeRequest,
+    MessageType,
     PayloadExchangeRequest,
     ProtocolEnvelope,
     decode_envelope,
@@ -208,3 +211,39 @@ class TestKeptBytes:
         assert encode_envelope(env) == raw
         assert env.signed == raw[: len(env.signed)]
         assert len(raw) - len(env.signed) == 3 + len(env.auth_tag)
+
+
+class TestSealInPlace:
+    """`seal` completes a fresh envelope in place: one envelope per message."""
+
+    @pytest.mark.parametrize("name,signer,verifier", schemes())
+    def test_factory_envelope_is_the_field_by_field_bytes(self, name, signer, verifier):
+        frame, ts = bytes(range(60)), 1_700_000_000_000
+        factory = EnvelopeFactory("dep-a", signer, clock=lambda: ts)
+        factory.sealed(PayloadExchangeRequest(b"x"), "dep-b")  # sequence 0
+        raw = encode_envelope(factory.sealed(PayloadExchangeRequest(frame), "dep-b"))
+        w = Writer().u8(1).u8(MessageType.PAYLOAD_EXCHANGE_REQUEST.value).text("dep-a")
+        signed = w.u64(1).u64(ts).bytes_u32(Writer().bytes_u32(frame).getvalue()).getvalue()
+        assert raw == signed + Writer().u8(signer.scheme.value).bytes_u16(
+            signer.sign(signed, "dep-b")).getvalue()
+        env = decode_envelope(raw)
+        assert (env.sequence, env.body) == (1, PayloadExchangeRequest(frame))
+        InboundGate(verifier).open(env, now_ms=ts)
+
+    def test_seal_returns_the_envelope_it_was_given(self):
+        env = make_env(seq=3)
+        assert seal(env, NoopAuthenticator(), "dep-b") is env
+        assert env.auth_scheme is NoopAuthenticator.scheme
+        assert env.signed == signing_bytes(make_env(seq=3))
+
+    @pytest.mark.parametrize("origin", ["sealed", "decoded"])
+    def test_envelope_with_signed_bytes_is_refused(self, origin):
+        _, signer, verifier = keyed_schemes()[0]
+        env = seal(make_env(seq=5), signer, "dep-b")
+        if origin == "decoded":
+            env = decode_envelope(encode_envelope(env))
+        raw = encode_envelope(env)
+        with pytest.raises(ValueError):
+            seal(env, signer, "dep-c")
+        assert encode_envelope(env) == raw
+        InboundGate(verifier).open(env, now_ms=1_700_000_000_000)

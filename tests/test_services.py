@@ -941,6 +941,30 @@ class TestSessionVerification:
             pdp.close()
 
 
+class TestDepStop:
+    def test_stop_wakes_both_blocking_loops_without_counting(self):
+        catcher, deliver, pdp = UdpCatcher(), UdpCatcher(), EnvelopeSink()
+        service = make_dep(catcher, deliver, pdp)
+        try:
+            assert service._data_sock.gettimeout() is None
+            assert service._capture_sock.gettimeout() is None
+            service.start()
+            time.sleep(0.1)  # both loops are now blocked in recvfrom()
+            service.stop()
+            assert not any(t.is_alive() for t in service._threads)
+            counts = service.metrics.dump()
+            woken = {name: n for name, n in counts.items()
+                     if name in ("egress.dissect-error", "ingress.undecodable",
+                                 "ingress.deliver-failed")
+                     or name.endswith((".send-failed", ".handler-error"))}
+            assert woken == {}
+        finally:
+            service.stop()
+            pdp.close()
+            catcher.sock.close()
+            deliver.sock.close()
+
+
 class TestRawCaptureMode:
     def test_raw_capture_flagged_on_and_constructible_or_refused(self):
         """Raw capture needs CAP_NET_RAW; accept either a working socket or
@@ -956,6 +980,7 @@ class TestRawCaptureMode:
             assert "raw capture" in str(exc)
         else:
             assert service.capture_address == "lo"
+            assert service._capture_sock.gettimeout() == 0.2  # it cannot be shut down
             service.stop()
         finally:
             pdp.close()

@@ -2,6 +2,7 @@
 
 import os
 import socket
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,9 @@ from flowgate.wire.messages import (
     MessageType,
     PayloadExchangeRequest,
     ProtocolEnvelope,
+    decode_body,
     decode_envelope,
+    encode_body,
     encode_envelope,
 )
 from flowgate.wire.transport import recv_frame
@@ -171,6 +174,42 @@ class TestDecodeErrors:
                 decode_envelope(bytes(mutated))
             except DecodeError:
                 pass
+
+
+class TestPayloadBody:
+    """The data path's body: a `u32` frame length, then the frame."""
+
+    FRAME = bytes(range(60))
+    PAYLOAD = MessageType.PAYLOAD_EXCHANGE_REQUEST
+
+    @staticmethod
+    def envelope(body: bytes) -> bytes:
+        w = Writer()
+        w.u8(1).u8(MessageType.PAYLOAD_EXCHANGE_REQUEST.value).text("s").u64(1).u64(2)
+        w.bytes_u32(body).u8(AuthScheme.NOOP.value).bytes_u16(b"")
+        return w.getvalue()
+
+    @pytest.mark.parametrize("frame", [b"", FRAME, FRAME * 25])
+    def test_same_bytes_as_a_writer(self, frame):
+        body = Writer().bytes_u32(frame).getvalue()
+        assert encode_body(PayloadExchangeRequest(frame)) == body
+        assert decode_body(self.PAYLOAD, body) == PayloadExchangeRequest(frame)
+        assert decode_envelope(self.envelope(body)).body == PayloadExchangeRequest(frame)
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["one-short", "one-long"])
+    def test_frame_length_off_by_one(self, delta):
+        body = struct.pack(">I", len(self.FRAME) + delta) + self.FRAME
+        with pytest.raises(LengthOverrunError):
+            decode_body(self.PAYLOAD, body)
+        with pytest.raises(LengthOverrunError):
+            decode_envelope(self.envelope(body))
+
+    @pytest.mark.parametrize("size", range(4))
+    def test_body_shorter_than_its_length(self, size):
+        with pytest.raises(TruncatedBufferError):
+            decode_body(self.PAYLOAD, b"\x00" * size)
+        with pytest.raises(TruncatedBufferError):
+            decode_envelope(self.envelope(b"\x00" * size))
 
 
 class TestPolicyCodec:

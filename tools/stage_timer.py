@@ -4,6 +4,9 @@ Builds one enforcement point (dep-a) with the noop scheme and loopback UDP
 sockets, installs a grant for a 60 B GOOSE frame in both directions, and
 calls each stage directly: no peer service, no thread hand-offs and no
 tracer, so the numbers carry little of the noise an end-to-end run has.
+`handle_datagram` is the whole ingress traversal (decode, open, dissect,
+verdict, deliver) of datagrams dep-b sealed; each call needs a fresh
+sequence number, so a batch is sealed before each repeat, outside the timing.
 
     python3 tools/stage_timer.py [--count 20000] [--repeats 7]
 
@@ -27,10 +30,11 @@ from flowgate.decisions import AccessDecision  # noqa: E402
 from flowgate.frames import dissect, goose_frame  # noqa: E402
 from flowgate.pattern_text import parse_pattern  # noqa: E402
 from flowgate.policy import Action  # noqa: E402
-from flowgate.services.base import now_ms  # noqa: E402
+from flowgate.services.base import EnvelopeFactory, now_ms  # noqa: E402
 from flowgate.services.config import DepRegistryEntry, ServiceConfig  # noqa: E402
 from flowgate.services.dep import DepService  # noqa: E402
 from flowgate.wire import messages  # noqa: E402
+from flowgate.wire.auth import NoopAuthenticator  # noqa: E402
 from flowgate.wire.messages import PayloadExchangeRequest  # noqa: E402
 
 FRAME = goose_frame("02:00:00:00:00:01", "01:0c:cd:01:00:01", 5, b"t", pad_to=60)
@@ -71,24 +75,36 @@ def build_dep(peer: socket.socket, device: socket.socket) -> DepService:
 
 
 def stages(dep: DepService) -> dict:
+    """Stage name -> (the call to time, None or what to run before each
+    repeat with the number of calls)."""
     now = now_ms()
     request = dissect(FRAME, dep.cfg.dissection)
     body = PayloadExchangeRequest(FRAME)
+    sender = EnvelopeFactory("dep-b", NoopAuthenticator(), clock=lambda: now)
+    batch = iter(())
+
+    def seal_batch(count: int) -> None:  # every datagram needs a fresh sequence number
+        nonlocal batch
+        batch = iter([messages.encode_envelope(sender.sealed(body, "dep-a")) for _ in range(count)])
+
     return {
-        "dissect": lambda: dissect(FRAME, dep.cfg.dissection),
-        "key()": request.key,
-        "verdict hit": lambda: dep.egress_decisions.verdict(request, now),
-        "_enforce_egress": lambda: dep._enforce_egress(FRAME, request, now),
-        "_enforce_ingress": lambda: dep._enforce_ingress(FRAME, now),
-        "seal + encode": lambda: messages.encode_envelope(dep.factory.sealed(body, "dep-b")),
-        "handle_egress_frame": lambda: dep.handle_egress_frame(FRAME, now),
+        "dissect": (lambda: dissect(FRAME, dep.cfg.dissection), None),
+        "key()": (request.key, None),
+        "verdict hit": (lambda: dep.egress_decisions.verdict(request, now), None),
+        "_enforce_egress": (lambda: dep._enforce_egress(FRAME, request, now), None),
+        "_enforce_ingress": (lambda: dep._enforce_ingress(FRAME, now), None),
+        "seal + encode": (lambda: messages.encode_envelope(dep.factory.sealed(body, "dep-b")), None),
+        "handle_egress_frame": (lambda: dep.handle_egress_frame(FRAME, now), None),
+        "handle_datagram": (lambda: dep.handle_datagram(next(batch), now), seal_batch),
     }
 
 
-def time_stage(fn, count: int, repeats: int, sinks) -> float:
+def time_stage(fn, prepare, count: int, repeats: int, sinks) -> float:
     """Median over `repeats` of the mean microseconds per call of `fn`."""
     per_call = []
     for _ in range(repeats):
+        if prepare is not None:
+            prepare(count)
         start = time.perf_counter_ns()
         for _ in range(count):
             fn()
@@ -108,13 +124,17 @@ def main(argv=None) -> int:
     peer, device = _sink(), _sink()
     dep = build_dep(peer, device)
     try:
-        for name, fn in stages(dep).items():
+        for name, (fn, prepare) in stages(dep).items():
+            if prepare is not None:
+                prepare(1)
             fn()  # warm the memo and any lazy set-up before timing
-            print(f"{name:<22}{time_stage(fn, args.count, args.repeats, (peer, device)):8.2f} us")
-        forwarded, delivered = dep.metrics.get("egress.forwarded"), dep.metrics.get("ingress.delivered")
-        if not forwarded or not delivered or dep.metrics.get("egress.denied"):
-            print(f"stage_timer: the grants did not hold (forwarded {forwarded}, delivered {delivered})",
-                  file=sys.stderr)
+            us = time_stage(fn, prepare, args.count, args.repeats, (peer, device))
+            print(f"{name:<22}{us:8.2f} us")
+        counts = dep.metrics.dump()
+        forwarded, delivered = counts.pop("egress.forwarded", 0), counts.pop("ingress.delivered", 0)
+        if not forwarded or not delivered or counts:
+            print(f"stage_timer: the grants did not hold (forwarded {forwarded}, "
+                  f"delivered {delivered}, other counters {counts})", file=sys.stderr)
             return 1
         return 0
     finally:
