@@ -9,7 +9,7 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ..errors import ServiceStartupError, TransportError
 from ..wire.auth import (
@@ -121,7 +121,7 @@ class PeerChannel:
     Receivers reject a sequence number at or below the last one they
     accepted from this sender, so envelopes to one peer must leave in the
     order their numbers were issued.  Hold `lock` from sealing an envelope
-    until it is written (`exchange`, or a datagram send), and across the
+    until it is written (`exchange`, `write`, or a datagram send), and across the
     reply when awaiting one, so that replies are opened in order too.
 
     Control envelopes share one TCP connection to `address`, opened on first
@@ -147,10 +147,16 @@ class PeerChannel:
         self, env: ProtocolEnvelope, await_reply: bool, timeout_s: float
     ) -> Optional[ProtocolEnvelope]:
         """Write `env` and, with `await_reply`, read one reply; hold `lock`."""
+        return self.write((env,), timeout_s, await_reply)
+
+    def write(self, envs: Sequence[ProtocolEnvelope], timeout_s: float,
+              await_reply: bool = False) -> Optional[ProtocolEnvelope]:
+        """Write `envs` back to back in one send and, with `await_reply`,
+        read one reply; hold `lock` from sealing the first of them."""
         sock = self._connected(timeout_s)
         try:
             sock.settimeout(timeout_s)
-            reply = exchange_on(sock, env, await_reply)
+            reply = exchange_on(sock, envs, await_reply)
         except (OSError, TransportError) as exc:
             self._disconnect()
             raise TransportError(f"{self.peer}: {exc}") from None
@@ -241,6 +247,9 @@ class ControlServer:
     connection to a peer only after its last envelope on the previous one is
     written, so either way the replay check sees each sender's sequence
     numbers in the order they were issued.
+
+    `end_of_round`, when given, runs after each round of the loop has handled
+    the envelopes it read, so a handler may finish their work in one go.
     """
 
     def __init__(
@@ -254,9 +263,11 @@ class ControlServer:
         logger: logging.Logger,
         sock: Optional[socket.socket] = None,
         clock: Callable[[], int] = now_ms,
+        end_of_round: Optional[Callable[[], None]] = None,
     ):
         self._gate = gate
         self._handler = handler
+        self._end_of_round = end_of_round
         self._factory = factory
         self._metrics = metrics
         self._logger = logger
@@ -318,6 +329,12 @@ class ControlServer:
         if accept:
             self._accept()
         self._admit()
+        if self._end_of_round is not None:
+            try:
+                self._end_of_round()
+            except Exception:
+                self._metrics.incr("control.handler-error")
+                self._logger.exception("end of round failed")
         self._close_idle()
 
     def _accept(self) -> None:

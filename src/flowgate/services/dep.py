@@ -255,23 +255,30 @@ class DepService(Service):
                 self._writer.start()
 
     def _write_requests(self) -> None:
-        """Send queued access requests, in order, until stop() queues None."""
+        """Send queued access requests in order until stop() queues None;
+        each write carries every request queued by then."""
+        batch = []
         while (request := self._requests.get()) is not None:
-            self._send_access_request(request)
+            batch.append(request)
+            if self._requests.empty():
+                self._send_access_requests(batch)
+                batch = []
+        if batch:
+            self._send_access_requests(batch)
 
-    def _send_access_request(self, request: AccessRequestPattern) -> None:
+    def _send_access_requests(self, batch: list[AccessRequestPattern]) -> None:
         if self.cfg.pdp is None:
-            self.metrics.incr("egress.no-pdp")
+            self.metrics.incr("egress.no-pdp", len(batch))
             return
         channel = self.factory.channel(*self.cfg.pdp)
         try:
             with channel.lock:
-                oneshot(channel, self.factory.sealed(AccessRequest(request), channel.peer),
-                        await_reply=False, timeout_s=self.cfg.control_timeout_s)
-            log_event(self.logger, "access-request", pdp=channel.peer)
+                channel.write([self.factory.sealed(AccessRequest(request), channel.peer)
+                               for request in batch], self.cfg.control_timeout_s)
+            log_event(self.logger, "access-request", pdp=channel.peer, requests=len(batch))
         except TransportError as exc:
-            self.metrics.incr("egress.request-failed")
-            log_event(self.logger, "access-request-failed", detail=exc)
+            self.metrics.incr("egress.request-failed", len(batch))
+            log_event(self.logger, "access-request-failed", requests=len(batch), detail=exc)
 
     # -- ingress -----------------------------------------------------------------
 
@@ -357,6 +364,7 @@ class DepService(Service):
                     fallback = deny_decision((flow,), now, now + self.cfg.default_deny_ttl_ms)
                     self.ingress_decisions.install(fallback)
                     self.egress_decisions.install(fallback)
+                self._drain_pending(now)  # buffered frames meet the denial now
                 return
         self.install_decisions(decisions, now)
 
@@ -371,7 +379,7 @@ class DepService(Service):
             if self.cfg.id in decision.nexthop:
                 self.ingress_decisions.install(decision)
                 installed += 1
-            if self._matches_pending(decision) or self.cfg.id not in decision.nexthop:
+            if self.cfg.id not in decision.nexthop or self._matches_pending(decision):
                 self.egress_decisions.install(decision)
                 installed += 1
         self.metrics.incr("session.installed", installed)

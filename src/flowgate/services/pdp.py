@@ -104,9 +104,14 @@ class PdpService(Service):
         self._index = FlowIndex()  # every policy's flow, filed under its id
         self._revision = 0
         self._cache: dict[str, AccessDecision] = {}
+        # The round's access requests and, while they are decided, their answers;
+        # the control thread alone uses both.
+        self._round: list[tuple[str, AccessRequest]] = []
+        self._answers: Optional[list[tuple[str, list[AccessDecision]]]] = None
         self._server = ControlServer(
             cfg.id, cfg.listen_control or ("127.0.0.1", 0), self.gate, self._handle,
             self.factory, self.metrics, self.logger, sock=control_sock, clock=self.clock,
+            end_of_round=self._answer_round,
         )
         if attribute_source is not None:
             self.attribute_source = attribute_source
@@ -241,10 +246,13 @@ class PdpService(Service):
 
     def _handle(self, env: ProtocolEnvelope, reply: Callable[[MessageBody], None]) -> None:
         body = env.body
+        if isinstance(body, AccessRequest):
+            self._round.append((env.sender_id, body))
+            return
+        # Requests that came first are judged against the replica they came under.
+        self._answer_round()
         if isinstance(body, PolicyExchangeIncremental):
             self._apply_incremental(body)
-        elif isinstance(body, AccessRequest):
-            self._handle_access_request(env.sender_id, body)
         elif isinstance(body, AccessVerificationRequest):
             reply(AccessVerificationResponse(tuple(self._verify_flow(body.flow))))
         elif isinstance(body, PolicyExchangeComplete):
@@ -252,7 +260,23 @@ class PdpService(Service):
         else:
             self.metrics.incr("control.unexpected-type")
 
+    def _answer_round(self) -> None:
+        """Decide the round's access requests, then answer them all at once."""
+        if not self._round:
+            return
+        requests, self._round = self._round, []
+        self._answers = answers = []
+        for requester, req in requests:
+            try:
+                self._handle_access_request(requester, req)
+            except Exception:
+                self.metrics.incr("control.handler-error")
+                self.logger.exception("access request from %s failed", requester)
+        self._answers = None
+        self._send_inits(answers)
+
     def _handle_access_request(self, requester: str, req: AccessRequest) -> None:
+        """Decide one request; answer it with the round being answered, or at once."""
         now = self.clock()
         with self._lock:
             candidates = (self._policies[pid] for pid in self._index.candidates(req.request))
@@ -265,28 +289,36 @@ class PdpService(Service):
         if not decisions:
             decisions = [default_decision(req.request, now, self.cfg.default_deny_ttl_ms)]
             self.metrics.incr("decisions.default-deny")
-        targets = {requester}
-        for d in decisions:
-            targets |= d.nexthop
-        # Nexthop enforcement points first, the requester last: the requester
-        # drains its buffered frames the moment its initialization lands, and
-        # those frames should find the receiving side already provisioned.
-        ordered = sorted(targets - {requester}) + [requester]
-        init = SessionInitialization(tuple(decisions))
-        log_event(self.logger, "session-init", requester=requester,
-                  decisions=len(decisions), targets=len(ordered))
-        for dep_id in ordered:
+        if self._answers is not None:
+            self._answers.append((requester, decisions))
+        else:
+            self._send_inits([(requester, decisions)])
+
+    def _send_inits(self, answers: list[tuple[str, list[AccessDecision]]]) -> None:
+        """Each nexthop first gets one initialization with the decisions of
+        every request naming it, then each requester one with its own: a
+        requester drains its buffered frames the moment its initialization
+        lands, and those frames should find the receiving side provisioned."""
+        nexthops, requesters = {}, {}  # dep id -> {id(decision): decision}
+        for requester, decisions in answers:
+            unique = {id(d): d for d in decisions}  # one derivation may serve many requests
+            requesters.setdefault(requester, {}).update(unique)
+            for dep_id in set().union(*(d.nexthop for d in decisions)) - {requester}:
+                nexthops.setdefault(dep_id, {}).update(unique)
+        for dep_id, decisions in [*sorted(nexthops.items()), *sorted(requesters.items())]:
             entry = self.cfg.registry.get(dep_id)
             if entry is None:
                 self.metrics.incr("session-init.unknown-dep")
                 log_event(self.logger, "unknown-dep", dep=dep_id)
                 continue
             channel = self.factory.channel(dep_id, entry.control)
+            init = SessionInitialization(tuple(decisions.values()))
             try:
                 with channel.lock:
                     oneshot(channel, self.factory.sealed(init, dep_id),
                             await_reply=False, timeout_s=self.cfg.control_timeout_s)
                 self.metrics.incr("session-init.sent")
+                log_event(self.logger, "session-init", dep=dep_id, decisions=len(decisions))
             except TransportError as exc:
                 self.metrics.incr("session-init.send-failed")
                 log_event(self.logger, "session-init-failed", dep=dep_id, detail=exc)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import socket
 import struct
-from typing import Optional, Protocol, Union
+from typing import Iterable, Optional, Protocol, Union
 
 from ..errors import TransportError
 from .codec import MAX_BODY_LEN
@@ -23,9 +23,11 @@ DEFAULT_TIMEOUT_S = 5.0
 Address = tuple[str, int]
 
 
-def send_frame(sock: socket.socket, payload: bytes) -> None:
+def send_envelopes(sock: socket.socket, envs: Iterable[ProtocolEnvelope]) -> None:
+    """Write `envs` back to back, each as a length-prefixed frame, in one send."""
+    payloads = [encode_envelope(env) for env in envs]
     try:
-        sock.sendall(struct.pack(">I", len(payload)) + payload)
+        sock.sendall(b"".join(struct.pack(">I", len(p)) + p for p in payloads))
     except OSError as exc:
         raise TransportError(f"send failed: {exc}") from None
 
@@ -91,7 +93,7 @@ class FrameReader:
 
 
 def send_envelope(sock: socket.socket, env: ProtocolEnvelope) -> None:
-    send_frame(sock, encode_envelope(env))
+    send_envelopes(sock, (env,))
 
 
 def recv_envelope(sock: socket.socket) -> Optional[ProtocolEnvelope]:
@@ -100,10 +102,10 @@ def recv_envelope(sock: socket.socket) -> Optional[ProtocolEnvelope]:
 
 
 def exchange_on(
-    sock: socket.socket, env: ProtocolEnvelope, await_reply: bool
+    sock: socket.socket, envs: Iterable[ProtocolEnvelope], await_reply: bool
 ) -> Optional[ProtocolEnvelope]:
-    """Send one envelope on `sock` and, with `await_reply`, read one back."""
-    send_envelope(sock, env)
+    """Send `envs` on `sock` in one write and, with `await_reply`, read one back."""
+    send_envelopes(sock, envs)
     if not await_reply:
         return None
     reply = recv_envelope(sock)
@@ -135,6 +137,6 @@ def oneshot(
     try:
         with socket.create_connection(peer, timeout=timeout_s) as sock:
             sock.settimeout(timeout_s)
-            return exchange_on(sock, env, await_reply)
+            return exchange_on(sock, (env,), await_reply)
     except OSError as exc:
         raise TransportError(f"{peer}: {exc}") from None

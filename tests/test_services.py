@@ -23,6 +23,7 @@ from flowgate.services.base import (
 from flowgate.services.config import BypassRule, DepRegistryEntry, ServiceConfig
 from flowgate.services.dep import DepService
 from flowgate.services.pasp import PaspService
+from flowgate.services import pdp as pdp_module
 from flowgate.services.pdp import PdpService
 from flowgate.wire.auth import InboundGate, NoopAuthenticator, seal
 from flowgate.wire.messages import (
@@ -43,7 +44,7 @@ from flowgate.wire.messages import (
     decode_envelope,
     encode_envelope,
 )
-from flowgate.wire.transport import oneshot, recv_envelope, send_envelope
+from flowgate.wire.transport import oneshot, recv_envelope, send_envelope, send_envelopes
 
 NOOP = NoopAuthenticator()
 CATALOG = {
@@ -599,6 +600,9 @@ class UdpCatcher:
         except socket.timeout:
             return out
 
+    def close(self):
+        self.sock.close()
+
 
 def make_dep(catcher_b: UdpCatcher, deliver: UdpCatcher, pdp_sink: EnvelopeSink,
              **overrides) -> DepService:
@@ -639,6 +643,8 @@ class TestDepEgress:
         yield service, catcher, deliver, pdp
         service.stop()
         pdp.close()
+        catcher.close()
+        deliver.close()
 
     def test_granted_frame_forwarded_sealed_per_nexthop(self, dep):
         service, catcher, _, _ = dep
@@ -660,9 +666,12 @@ class TestDepEgress:
                                   frozenset({"dep-b", "dep-c"}), now - 1000, now + 60_000)
         service.egress_decisions.install(decision)
         service.handle_egress_frame(GOOSE_FRAME, now)
-        for caught in (catcher, second):
-            env = decode_envelope(caught.recv())
-            assert env.body.frame == GOOSE_FRAME
+        try:
+            for caught in (catcher, second):
+                env = decode_envelope(caught.recv())
+                assert env.body.frame == GOOSE_FRAME
+        finally:
+            second.close()
         assert service.metrics.get("egress.forwarded") == 2
 
     def test_concurrent_forwards_reach_the_peer_in_sequence_order(self, dep):
@@ -777,6 +786,8 @@ class TestDepEgress:
         finally:
             service.stop()
             pdp.close()
+            catcher.close()
+            deliver.close()
 
 
 class TestDepIngress:
@@ -787,6 +798,8 @@ class TestDepIngress:
         yield service, catcher, deliver, pdp
         service.stop()
         pdp.close()
+        catcher.close()
+        deliver.close()
 
     def sealed_payload(self, frame, seq=None):
         env = ProtocolEnvelope("dep-b", seq if seq is not None else time.monotonic_ns(),
@@ -843,6 +856,8 @@ class TestDepIngress:
         finally:
             service.stop()
             pdp.close()
+            catcher.close()
+            deliver.close()
 
     def test_replayed_payload_dropped(self, dep):
         service, _, deliver, _ = dep
@@ -865,6 +880,7 @@ class TestDepIngress:
 class TestSessionVerification:
     def build(self, responder, fail_open=False):
         catcher, deliver, pdp = UdpCatcher(), UdpCatcher(), EnvelopeSink()
+        self.catchers = (catcher, deliver)
         verifier = EnvelopeSink(responder)
         registry = {
             "dep-a": DepRegistryEntry("dep-a", ("127.0.0.1", 9), ("127.0.0.1", 9)),
@@ -875,6 +891,10 @@ class TestSessionVerification:
                             verifier_pdp=("pdp-2", verifier.address),
                             verify_fail_open=fail_open, control_timeout_s=0.4)
         return DepService(cfg), verifier, pdp
+
+    def teardown_method(self):
+        for catcher in getattr(self, "catchers", ()):
+            catcher.close()
 
     def test_identical_decisions_accepted(self):
         decision = grant_to_a()
@@ -918,6 +938,33 @@ class TestSessionVerification:
             installed = service.ingress_decisions.snapshot()
             assert len(installed) == 1
             assert installed[0].action is Action.DENY  # fallback, not the grant
+        finally:
+            service.stop()
+            verifier.close()
+            pdp.close()
+
+    def test_conflict_enforces_the_buffered_frames_against_the_fallback(self):
+        granted = grant_to_b()
+        denied = deny_decision(granted.flows, granted.valid_from, granted.valid_until)
+
+        def disagree(env):
+            if isinstance(env.body, AccessVerificationRequest):
+                return AccessVerificationResponse((denied,))
+            return None
+
+        service, verifier, pdp = self.build(disagree)
+        try:
+            service.handle_egress_frame(GOOSE_FRAME, now_ms())  # buffered, one request
+            assert service._pending
+            service._handle_control(
+                seal(ProtocolEnvelope("pdp-1", 1, now_ms(),
+                                      SessionInitialization((granted,))), NOOP, "dep-a"),
+                lambda body: None,
+            )
+            assert service.metrics.get("session.verification-conflict") == 1
+            assert not service._pending  # not left to linger until the fallback lapses
+            assert service.metrics.get("egress.denied") == 1
+            assert service.metrics.get("egress.forwarded") == 0
         finally:
             service.stop()
             verifier.close()
@@ -984,6 +1031,10 @@ class TestRawCaptureMode:
             service.stop()
         finally:
             pdp.close()
+
+
+def _dstport(request) -> int:
+    return next(node.fact("dstport") for node in request.anchors() if node.layer == "udp")
 
 
 def _udp_to(port: int) -> bytes:
@@ -1165,6 +1216,60 @@ class TestDepAccessRequests:
         assert service.metrics.get("egress.access-request") == flows
         assert service.metrics.get("egress.request-failed") == flows
 
+    @staticmethod
+    def queue_and_write(service, ports):
+        """Queue a request per port and the stop marker, then run the writer
+        on this thread, counting the channel writes it makes."""
+        channel = service.factory.channel(*service.cfg.pdp)
+        writes, write = [], channel.write
+
+        def counted(envs, *args):
+            writes.append(len(envs))
+            return write(envs, *args)
+
+        channel.write = counted
+        for port in ports:
+            service._requests.put(dissect(_udp_to(port)))
+        service._requests.put(None)
+        service._write_requests()
+        return writes
+
+    def test_queued_requests_leave_in_one_write_in_sequence_order(self):
+        opened = []
+        server = ControlServer("pdp-1", ("127.0.0.1", 0), InboundGate(NOOP, 60_000),
+                               lambda env, reply: opened.append(env), EnvelopeFactory("pdp-1", NOOP),
+                               Metrics(), logging.getLogger("test"))
+        server.start()
+        catcher, deliver = UdpCatcher(), UdpCatcher()
+        service = make_dep(catcher, deliver, type("Pdp", (), {"address": server.address}))
+        ports = range(41000, 41010)
+        try:
+            writes = self.queue_and_write(service, ports)
+            _wait_until(lambda: len(opened) == len(ports), 5)
+        finally:
+            service.stop()
+            server.stop()
+            catcher.close()
+            deliver.close()
+        assert writes == [len(ports)]  # the stop marker still lets the batch go
+        assert server._metrics.get("control.rejected") == 0
+        assert [e.sequence for e in opened] == sorted(e.sequence for e in opened)
+        assert [_dstport(e.body.request) for e in opened] == list(ports)
+        assert service.metrics.get("egress.request-failed") == 0
+
+    def test_a_failed_batch_counts_each_of_its_requests(self):
+        address, _ = _refusing_address()
+        catcher, deliver = UdpCatcher(), UdpCatcher()
+        service = make_dep(catcher, deliver, type("Gone", (), {"address": address}))
+        try:
+            writes = self.queue_and_write(service, range(41000, 41007))
+        finally:
+            service.stop()
+            catcher.close()
+            deliver.close()
+        assert writes == [7]
+        assert service.metrics.get("egress.request-failed") == 7
+
 
 class TestPdpLock:
     def test_slow_attribute_source_does_not_stall_a_static_request(self):
@@ -1214,6 +1319,116 @@ class TestPdpLock:
             dep_b.close()
         assert answered and waiting
         assert granted == [{"static"}]
+
+
+def _udp_between(src: str, dst: str, port: int) -> bytes:
+    """A frame from dep-`src`'s device to dep-`dst`'s (see `_registry`)."""
+    end = {"a": ("02:00:00:00:00:01", "10.0.0.1"), "b": ("02:00:00:00:00:02", "10.0.0.2")}
+    return udp_frame(end[src][0], end[dst][0], end[src][1], end[dst][1], 40000, port, b"round")
+
+
+def _grant_to(port: int, dep_id: str) -> Policy:
+    return Policy(f"grant-{port}", Action.GRANT,
+                  parse_pattern(f"eth {{ ipv4 {{ udp {{ dstport == {port} }} }} }}"),
+                  nexthop_ids=frozenset({dep_id}))
+
+
+class TestPdpRounds:
+    """Access requests handled in one round of the PDP's control loop are
+    answered together, with at most two initializations per DEP."""
+
+    @pytest.fixture
+    def pdp(self, monkeypatch):
+        """A started PDP whose initializations are recorded, in the order
+        they are written, as (dep id, decisions)."""
+        dep_a, dep_b = EnvelopeSink(), EnvelopeSink()
+        cfg = ServiceConfig(id="pdp-1", registry=_registry(dep_a.address, dep_b.address))
+        service = PdpService(cfg)
+        written = []
+        send = pdp_module.oneshot
+
+        def recorded(channel, env, *args, **kwargs):
+            written.append((channel.peer, env.body.decisions))
+            return send(channel, env, *args, **kwargs)
+
+        monkeypatch.setattr(pdp_module, "oneshot", recorded)
+        service.start()
+        yield service, written, dep_a, dep_b
+        service.stop()
+        dep_a.close()
+        dep_b.close()
+
+    @staticmethod
+    def in_one_write(service, *envelopes):
+        """Deliver `envelopes` on one connection in one write, so the PDP
+        reads and handles them in one round."""
+        with socket.create_connection(service.control_address, timeout=5) as conn:
+            send_envelopes(conn, envelopes)
+
+    @staticmethod
+    def request(sender, seq, frame):
+        return seal(ProtocolEnvelope(sender, seq, now_ms(), AccessRequest(dissect(frame))),
+                    NOOP, "pdp-1")
+
+    def test_each_nexthop_is_initialized_before_its_requester(self, pdp):
+        service, written, dep_a, dep_b = pdp
+        # dep-a's flows go to dep-b and dep-b's to dep-a: each DEP is the
+        # other's nexthop.
+        a_ports, b_ports = range(41000, 41003), range(42000, 42003)
+        service._replace_locked({p.id: p for p in
+                                 [_grant_to(port, "dep-b") for port in a_ports]
+                                 + [_grant_to(port, "dep-a") for port in b_ports]})
+        self.in_one_write(service, *(
+            [self.request("dep-a", i + 1, _udp_between("a", "b", port))
+             for i, port in enumerate(a_ports)]
+            + [self.request("dep-b", i + 1, _udp_between("b", "a", port))
+               for i, port in enumerate(b_ports)]))
+        dep_a.wait_for(2)
+        dep_b.wait_for(2)
+        assert service.metrics.get("access-requests") == 6
+        assert service.metrics.get("session-init.sent") == 4
+        assert [dep for dep, _ in written].count("dep-a") == 2
+        assert [dep for dep, _ in written].count("dep-b") == 2
+        requester = {**{f"grant-{p}": "dep-a" for p in a_ports},
+                     **{f"grant-{p}": "dep-b" for p in b_ports}}
+        for pid, owner in requester.items():
+            to = [dep for dep, decisions in written
+                  for d in decisions if d.origin_policy_ids == {pid}]
+            other = "dep-b" if owner == "dep-a" else "dep-a"
+            assert to == [other, owner]  # the nexthop's initialization is written first
+
+    def test_a_policy_change_after_requests_in_one_round_leaves_their_decisions(self, pdp):
+        service, written, dep_a, dep_b = pdp
+        service._replace_locked({"grant-41000": _grant_to(41000, "dep-b")})
+        delete = seal(ProtocolEnvelope("pasp", 1, now_ms(), PolicyExchangeIncremental(
+            ((CrudOp.DELETE, "grant-41000", None),), 1)), NOOP, "pdp-1")
+        self.in_one_write(service, self.request("dep-a", 1, _udp_between("a", "b", 41000)),
+                          delete)
+        (init,) = dep_a.wait_for(1)
+        (decision,) = init.body.decisions
+        assert decision.action is Action.GRANT  # judged under the replica it came under
+        assert service.revision == 1
+        assert service.policies() == []
+
+    def test_a_request_that_fails_leaves_the_rest_of_the_round_answered(self, pdp):
+        service, written, dep_a, dep_b = pdp
+        service._replace_locked({p.id: p for p in
+                                 (_grant_to(port, "dep-b") for port in (41000, 41001, 41002))})
+        decide = service._handle_access_request
+
+        def failing(requester, req):
+            if _dstport(req.request) == 41001:
+                raise RuntimeError("derivation failed")
+            decide(requester, req)
+
+        service._handle_access_request = failing
+        self.in_one_write(service, *(self.request("dep-a", i + 1, _udp_between("a", "b", port))
+                                     for i, port in enumerate((41000, 41001, 41002))))
+        (init,) = dep_a.wait_for(1)
+        assert {pid for d in init.body.decisions for pid in d.origin_policy_ids} \
+            == {"grant-41000", "grant-41002"}
+        assert service.metrics.get("control.handler-error") == 1
+        assert len(dep_b.wait_for(1)) == 1
 
 
 class TestControlPlane:
