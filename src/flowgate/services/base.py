@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import select
-import selectors
 import socket
 import threading
 import time
@@ -212,6 +212,11 @@ def _reads_ready(sock: socket.socket) -> bool:
 
 #: How long a new control connection may take to deliver its first envelope.
 FIRST_ENVELOPE_TIMEOUT_S = 1.0
+#: How often the loop closes idle connections, and the longest it sleeps.
+IDLE_SCAN_INTERVAL_S = 1.0
+#: Receive buffer of a watched socket: the loop takes one datagram per round, so
+#: a burst waits in the kernel while a round installs and drains.
+WATCHED_RCVBUF = 1 << 20
 
 #: Control handler: (envelope, reply) -> None.  `reply` sends one envelope
 #: back on the same connection; pushes to third parties go out of band.
@@ -248,8 +253,12 @@ class ControlServer:
     written, so either way the replay check sees each sender's sequence
     numbers in the order they were issued.
 
-    `end_of_round`, when given, runs after each round of the loop has handled
-    the envelopes it read, so a handler may finish their work in one go.
+    Each round handles the envelopes of every ready connection and the
+    callbacks other threads `post`, then runs `end_of_round` (when given, so
+    a handler may finish the round's work in one go), and only then reads
+    one datagram from each ready socket given to `watch`, none in a round
+    that accepted a connection.  So a datagram is handled after every
+    envelope and post that arrived before it.
     """
 
     def __init__(
@@ -284,9 +293,17 @@ class ControlServer:
                 raise ServiceStartupError(f"{name}: control endpoint {bind} unavailable: {exc}") from None
         self._sock.listen(32)
         self._sock.setblocking(False)
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._sock, selectors.EVENT_READ)
+        # fd -> the listener, the posted queue (for the wake pair), an _Inbound or a watch() tuple
+        self._poller = select.epoll()
+        self._polled: dict[int, object] = {}
+        self._register(self._sock, self._sock)
+        # post() queues a callback and writes a byte to wake the loop.
+        self._posted: deque[Callable[[], None]] = deque()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
+        self._register(self._wake_r, self._posted)
         self._waiting: deque[_Inbound] = deque()  # not yet admitted, in accept order
+        self._scan_at = 0.0
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._loop, name=f"{name}-control", daemon=True)
 
@@ -295,13 +312,27 @@ class ControlServer:
         host, port = self._sock.getsockname()[:2]
         return (host, port)
 
+    def watch(self, sock: socket.socket, handler: Callable[[bytes, int], None],
+              error_counter: str) -> None:
+        """Call `handler(datagram, now)` on the loop for each datagram `sock` gets; an
+        exception counts as `error_counter`.  Call before start(); stop() closes `sock`."""
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, WATCHED_RCVBUF)
+        self._register(sock, (sock, handler, error_counter))
+
+    def post(self, callback: Callable[[], None]) -> None:
+        """Run `callback` on the loop, from any thread; dropped after stop()."""
+        self._posted.append(callback)
+        with contextlib.suppress(OSError):  # a full pair wakes the loop already; a closed one has none
+            self._wake_w.send(b"\0")
+
     def start(self) -> None:
         self._thread.start()
 
     def stop(self) -> None:
-        """Stop serving and close the listener and every accepted connection."""
+        """Stop serving and close every socket the server holds."""
         self._stop.set()
         if self._thread.ident is not None:
+            self.post(lambda: None)  # wakes the loop
             self._thread.join(timeout=2)
         else:
             self._close_all()
@@ -315,27 +346,56 @@ class ControlServer:
 
     def _poll(self) -> None:
         now = time.monotonic()
-        timeout = 0.2
+        timeout = IDLE_SCAN_INTERVAL_S
         if self._waiting:
             timeout = min(timeout, max(0.0, self._waiting[0].deadline - now))
         accept = False
-        for key, _ in self._selector.select(timeout):
-            if key.data is None:
+        datagrams = []
+        for fd, _ in self._poller.poll(timeout):
+            data = self._polled.get(fd)
+            if data is self._sock:
                 accept = True
-            else:
-                self._read(key.data)
+            elif data is self._posted:
+                self._wake_r.recv(4096)  # this thread alone reads it, so it is ready
+                while self._posted:
+                    self.guarded("control.handler-error", self._posted.popleft())
+            elif data.__class__ is _Inbound:
+                self._read(data)
+            elif data is not None:
+                datagrams.append(data)
         # Accept after reading: bytes an earlier connection delivered are
         # handled before the first envelope of a later one.
         if accept:
             self._accept()
         self._admit()
         if self._end_of_round is not None:
-            try:
-                self._end_of_round()
-            except Exception:
-                self._metrics.incr("control.handler-error")
-                self._logger.exception("end of round failed")
-        self._close_idle()
+            self.guarded("control.handler-error", self._end_of_round)
+        if not accept:
+            for sock, handler, error_counter in datagrams:
+                try:
+                    datagram = sock.recv(65535, socket.MSG_DONTWAIT)
+                except OSError:
+                    continue  # nothing to read after all, or a one-off error report
+                try:  # guarded(), inlined on the data path
+                    handler(datagram, self._clock())
+                except Exception:
+                    self._metrics.incr(error_counter)
+                    self._logger.exception("%s", error_counter)
+        if now >= self._scan_at:
+            self._scan_at = now + IDLE_SCAN_INTERVAL_S
+            self._close_idle(now)
+
+    def guarded(self, error_counter: str, fn: Callable, *args) -> None:
+        """Call `fn(*args)`; an exception only counts as `error_counter`."""
+        try:
+            fn(*args)
+        except Exception:
+            self._metrics.incr(error_counter)
+            self._logger.exception("%s", error_counter)
+
+    def _register(self, sock: socket.socket, data: object) -> None:
+        self._polled[sock.fileno()] = data
+        self._poller.register(sock, select.EPOLLIN)
 
     def _accept(self) -> None:
         while True:
@@ -347,12 +407,12 @@ class ControlServer:
                 self._logger.exception("accepting a control connection failed")
                 self._stop.set()  # the listener is unusable: serve no more
                 return
-            # Reads happen only when the selector reports bytes; the timeout
+            # Reads happen only when epoll reports bytes; the timeout
             # bounds a reply's write.
             sock.settimeout(DEFAULT_TIMEOUT_S)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = _Inbound(sock, time.monotonic())
-            self._selector.register(sock, selectors.EVENT_READ, conn)
+            self._register(sock, conn)
             self._waiting.append(conn)
 
     def _read(self, conn: _Inbound) -> None:
@@ -412,23 +472,19 @@ class ControlServer:
             def reply(body: MessageBody, _sock=conn.sock, _peer=env.sender_id) -> None:
                 send_envelope(_sock, self._factory.sealed(body, _peer))
 
-            try:
-                self._handler(env, reply)
-            except Exception:
-                self._metrics.incr("control.handler-error")
-                self._logger.exception("handler failed for %s", env.msg_type.name)
+            self.guarded("control.handler-error", self._handler, env, reply)
 
-    def _close_idle(self) -> None:
-        cutoff = time.monotonic() - IDLE_TIMEOUT_S
-        for key in list(self._selector.get_map().values()):
-            conn = key.data
-            if conn is not None and conn.admitted and conn.active_at < cutoff:
+    def _close_idle(self, now: float) -> None:
+        cutoff = now - IDLE_TIMEOUT_S
+        for conn in list(self._polled.values()):
+            if conn.__class__ is _Inbound and conn.admitted and conn.active_at < cutoff:
                 self._close(conn)
 
     def _close(self, conn: _Inbound) -> None:
         if not conn.closed:
             conn.closed = True
-            self._selector.unregister(conn.sock)
+            del self._polled[conn.sock.fileno()]
+            self._poller.unregister(conn.sock)
             conn.sock.close()
 
     def _drop(self, conn: _Inbound) -> None:
@@ -437,12 +493,15 @@ class ControlServer:
         conn.reader = None
 
     def _close_all(self) -> None:
-        for key in list(self._selector.get_map().values()):
-            if key.data is not None:
-                self._close(key.data)
+        for data in list(self._polled.values()):
+            if data.__class__ is _Inbound:
+                self._close(data)
+            elif data.__class__ is tuple:
+                data[0].close()  # a watched socket
+        self._polled.clear()
         self._waiting.clear()
-        self._selector.close()
-        self._sock.close()
+        for closable in (self._sock, self._wake_r, self._wake_w, self._poller):
+            closable.close()
 
 
 class Service:

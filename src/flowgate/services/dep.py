@@ -47,7 +47,8 @@ from .base import ControlServer, Service, log_event, now_ms
 from .config import ServiceConfig
 from .pdp import apply_skew
 
-_MAX_DATAGRAM = 65535
+_OPEN_FAILURES = {AuthFailure: "ingress.auth-failure", ReplayFailure: "ingress.replay",
+                  StaleTimestampFailure: "ingress.stale-timestamp"}
 
 
 @dataclass
@@ -58,6 +59,11 @@ class _Pending:
 
 
 class DepService(Service):
+    """One enforcement point, run on its control server's loop, which also
+    reads the capture and data sockets: each control envelope is installed
+    before any datagram that arrived after it is enforced.  Access requests
+    and session verification wait on a peer, so they run on one worker."""
+
     role = "dep"
 
     def __init__(self, cfg: ServiceConfig, clock=None, control_sock=None,
@@ -67,12 +73,9 @@ class DepService(Service):
         self.egress_decisions = DecisionStore(_judge)
         self.ingress_decisions = DecisionStore(_judge)
         self._pending: dict[tuple, _Pending] = {}
-        self._pending_lock = threading.Lock()
-        self._stop = threading.Event()
-        # Access requests wait here for the writer, so no frame-handling
-        # thread ever blocks on the PDP's connection.
-        self._requests: queue.SimpleQueue = queue.SimpleQueue()
-        self._writer: Optional[threading.Thread] = None
+        # Access requests and verifications wait here for the worker.
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._worker = threading.Thread(target=self._work, name=f"{cfg.id}-worker", daemon=True)
 
         self._server = ControlServer(
             cfg.id, cfg.listen_control or ("127.0.0.1", 0), self.gate, self._handle_control,
@@ -86,17 +89,10 @@ class DepService(Service):
             self._capture_sock = capture_sock or _bind_udp(
                 cfg.device_capture or ("127.0.0.1", 0), cfg.id, "device-capture"
             )
-        # The loops block in recvfrom() with no timeout, so no poll() runs
-        # before each datagram.  stop() wakes them with shutdown(SHUT_RD),
-        # after which recvfrom() returns an empty read at once and sends
-        # still work.  A raw capture socket cannot be shut down: it alone
-        # polls, so its loop sees the stop within 0.2 s.
-        self._data_sock.settimeout(None)
-        self._capture_sock.settimeout(0.2 if self._raw_capture else None)
-        self._threads = [
-            threading.Thread(target=self._capture_loop, name=f"{cfg.id}-capture", daemon=True),
-            threading.Thread(target=self._data_loop, name=f"{cfg.id}-data", daemon=True),
-        ]
+        # Looked up per call, so a wrapper set on the class later (perfbench's tracer) sees them.
+        watch = self._server.watch
+        watch(self._capture_sock, lambda *a: self.handle_egress_frame(*a), "egress.handler-error")
+        watch(self._data_sock, lambda *a: self.handle_datagram(*a), "ingress.handler-error")
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -112,60 +108,14 @@ class DepService(Service):
 
     def start(self) -> None:
         self._server.start()
-        for t in self._threads:
-            t.start()
         log_event(self.logger, "started", control=self.control_address,
                   data=self.data_address, capture=self.capture_address)
 
     def stop(self) -> None:
-        with self._pending_lock:
-            self._stop.set()  # under the lock: no writer starts after this
-        self._requests.put(None)
-        for sock in (self._data_sock, self._capture_sock):
-            try:
-                sock.shutdown(socket.SHUT_RD)  # wakes the loop blocked on it
-            except OSError:
-                pass  # an unconnected UDP socket reports ENOTCONN, but wakes
-        super().stop()
-        for t in self._threads + [self._writer]:
-            if t is not None and t.ident is not None:
-                t.join(timeout=2)
-        for sock in (self._data_sock, self._capture_sock):
-            sock.close()
-
-    # -- socket loops ----------------------------------------------------------
-
-    def _capture_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                frame, _ = self._capture_sock.recvfrom(_MAX_DATAGRAM)
-            except socket.timeout:
-                continue  # raw capture only
-            except OSError:
-                return
-            if self._stop.is_set():
-                return  # stop() woke this read: it is no frame
-            try:
-                self.handle_egress_frame(frame, self.clock())
-            except Exception:
-                # the data path must survive any single bad frame or
-                # misconfigured peer
-                self.metrics.incr("egress.handler-error")
-                self.logger.exception("egress handling failed")
-
-    def _data_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                datagram, _ = self._data_sock.recvfrom(_MAX_DATAGRAM)
-            except OSError:
-                return
-            if self._stop.is_set():
-                return  # stop() woke this read: it is no datagram
-            try:
-                self.handle_datagram(datagram, self.clock())
-            except Exception:
-                self.metrics.incr("ingress.handler-error")
-                self.logger.exception("ingress handling failed")
+        super().stop()  # wakes a worker blocked on a channel, ends the loop, closes its sockets
+        self._jobs.put(None)  # a worker started after this exits at once
+        if self._worker.ident is not None:
+            self._worker.join(timeout=2)
 
     # -- egress -----------------------------------------------------------------
 
@@ -187,11 +137,10 @@ class DepService(Service):
         )
 
     def _enforce_egress(self, frame: bytes, request: AccessRequestPattern, now: int) -> None:
-        verdict = (self.egress_decisions.verdict(request, now)
-                   or self._buffer_and_request(frame, request, now))
+        verdict = self.egress_decisions.verdict(request, now)
         if verdict is None:
-            return  # buffered
-        if verdict[0] is Action.GRANT:
+            self._buffer_and_request(frame, request, now)
+        elif verdict[0] is Action.GRANT:
             self._forward_granted(frame, verdict[1])
         else:
             self.metrics.incr("egress.denied")
@@ -224,47 +173,46 @@ class DepService(Service):
             except OSError:
                 self.metrics.incr("egress.send-failed")
 
-    def _buffer_and_request(self, frame: bytes, request: AccessRequestPattern, now: int) -> Optional[Verdict]:
+    def _buffer_and_request(self, frame: bytes, request: AccessRequestPattern, now: int) -> None:
         key = request.key()
-        with self._pending_lock:
-            pending = self._pending.get(key)
-            if pending is None:
-                # Under the drain's lock: the flow may have been decided, and
-                # drained, since the caller found no verdict.
-                verdict = self.egress_decisions.verdict(request, now)
-                if verdict is not None:
-                    return verdict
-                pending = _Pending(request, deque())
-                self._pending[key] = pending
-            if len(pending.frames) >= self.cfg.buffer_limit:
-                pending.frames.popleft()
-                self.metrics.incr("egress.buffer-overflow")
-            pending.frames.append(frame)
-            self.metrics.incr("egress.buffered")
-            if now - pending.last_request_ms < self.cfg.request_timeout_ms:
-                return None
-            pending.last_request_ms = now
-            self.metrics.incr("egress.access-request")
-            self._requests.put(request)
-            if self._writer is None and not self._stop.is_set():
-                # Started on first use, so a DEP driven through its
-                # handlers without start() still sends.
-                self._writer = threading.Thread(
-                    target=self._write_requests, name=f"{self.cfg.id}-writer", daemon=True,
-                )
-                self._writer.start()
+        pending = self._pending.get(key)
+        if pending is None:
+            pending = self._pending[key] = _Pending(request, deque())
+        if len(pending.frames) >= self.cfg.buffer_limit:
+            pending.frames.popleft()
+            self.metrics.incr("egress.buffer-overflow")
+        pending.frames.append(frame)
+        self.metrics.incr("egress.buffered")
+        if now - pending.last_request_ms < self.cfg.request_timeout_ms:
+            return
+        pending.last_request_ms = now
+        self.metrics.incr("egress.access-request")
+        self._submit(request)
 
-    def _write_requests(self) -> None:
-        """Send queued access requests in order until stop() queues None;
-        each write carries every request queued by then."""
-        batch = []
-        while (request := self._requests.get()) is not None:
-            batch.append(request)
-            if self._requests.empty():
+    def _submit(self, job) -> None:
+        """Queue an access request, or a callable, for the worker."""
+        self._jobs.put(job)
+        if self._worker.ident is None:
+            # Started on first use: a DEP driven through its handlers without start() still sends.
+            self._worker.start()
+
+    def _work(self) -> None:
+        """Run queued jobs in order until stop() queues None.  Access
+        requests queued back to back leave in one write."""
+        batch: list[AccessRequestPattern] = []
+        while True:
+            job = self._jobs.get()
+            if isinstance(job, AccessRequestPattern):
+                batch.append(job)
+                if not self._jobs.empty():
+                    continue
+            if batch:  # before the job behind it, which may block
                 self._send_access_requests(batch)
                 batch = []
-        if batch:
-            self._send_access_requests(batch)
+            if job is None:
+                return
+            if callable(job):
+                self._server.guarded("control.handler-error", job)
 
     def _send_access_requests(self, batch: list[AccessRequestPattern]) -> None:
         if self.cfg.pdp is None:
@@ -290,17 +238,8 @@ class DepService(Service):
             return
         try:
             self.gate.open(env, now)
-        except AuthFailure:
-            self.metrics.incr("ingress.auth-failure")
-            return
-        except ReplayFailure:
-            self.metrics.incr("ingress.replay")
-            return
-        except StaleTimestampFailure:
-            self.metrics.incr("ingress.stale-timestamp")
-            return
-        except OpenFailure:
-            self.metrics.incr("ingress.rejected")
+        except OpenFailure as exc:
+            self.metrics.incr(_OPEN_FAILURES.get(type(exc), "ingress.rejected"))
             return
         if not isinstance(env.body, PayloadExchangeRequest):
             self.metrics.incr("ingress.unexpected-type")
@@ -354,18 +293,28 @@ class DepService(Service):
             self.metrics.incr("control.unexpected-type")
             return
         decisions = env.body.decisions
+        if self.cfg.verifier_pdp is None:
+            self.install_decisions(decisions, self.clock())
+        else:
+            self._submit(lambda: self._verify(decisions))
+
+    def _verify(self, decisions: tuple[AccessDecision, ...]) -> None:
+        """On the worker: verify `decisions`, then have the loop install them."""
+        conflicted = self.verify_session(decisions, self.clock())
+        self._server.post(lambda: self._install_verified(decisions, conflicted))
+
+    def _install_verified(self, decisions: tuple[AccessDecision, ...],
+                          conflicted: list[FlowPattern]) -> None:
+        """Install the unconflicted decisions and a default denial per conflicted flow; drain once."""
         now = self.clock()
-        if self.cfg.verifier_pdp is not None:
-            conflicted = self.verify_session(decisions, now)
-            if conflicted is not None:
-                self.metrics.incr("session.verification-conflict")
-                log_event(self.logger, "session-conflict", flows=len(conflicted))
-                for flow in conflicted:
-                    fallback = deny_decision((flow,), now, now + self.cfg.default_deny_ttl_ms)
-                    self.ingress_decisions.install(fallback)
-                    self.egress_decisions.install(fallback)
-                self._drain_pending(now)  # buffered frames meet the denial now
-                return
+        if conflicted:
+            self.metrics.incr("session.verification-conflict")
+            log_event(self.logger, "session-conflict", flows=len(conflicted))
+            for flow in conflicted:
+                fallback = deny_decision((flow,), now, now + self.cfg.default_deny_ttl_ms)
+                self.ingress_decisions.install(fallback)
+                self.egress_decisions.install(fallback)
+            decisions = tuple(d for d in decisions if set(d.flows).isdisjoint(conflicted))
         self.install_decisions(decisions, now)
 
     def install_decisions(self, decisions: tuple[AccessDecision, ...], now: int) -> None:
@@ -387,16 +336,12 @@ class DepService(Service):
         self._drain_pending(now)
 
     def _matches_pending(self, decision: AccessDecision) -> bool:
-        with self._pending_lock:
-            pendings = list(self._pending.values())
-        return any(decision.matching_flows(p.request) for p in pendings)
+        return any(decision.matching_flows(p.request) for p in self._pending.values())
 
     def _drain_pending(self, now: int) -> None:
-        with self._pending_lock:
-            decided = self.egress_decisions.verdict
-            ready = [key for key, p in self._pending.items() if decided(p.request, now) is not None]
-            drained = [self._pending.pop(key) for key in ready]
-        for pending in drained:
+        decided = self.egress_decisions.verdict
+        ready = [key for key, p in self._pending.items() if decided(p.request, now) is not None]
+        for pending in [self._pending.pop(key) for key in ready]:
             log_event(self.logger, "drain", frames=len(pending.frames))
             while pending.frames:
                 frame = pending.frames.popleft()
@@ -406,10 +351,10 @@ class DepService(Service):
 
     def verify_session(
         self, decisions: tuple[AccessDecision, ...], now: int
-    ) -> Optional[list[FlowPattern]]:
+    ) -> list[FlowPattern]:
         """Cross-check an initialization against a second decision point.
 
-        Returns None to accept, or the list of conflicted flows.  A decision
+        Returns the conflicted flows, none to accept.  A decision
         conflicts when the verifier reports a different action or nexthop
         set for an overlapping flow; an unreachable verifier counts as a
         conflict unless fail-open is configured.
@@ -420,29 +365,24 @@ class DepService(Service):
             for flow in decision.flows:
                 try:
                     with channel.lock:
-                        reply = oneshot(
-                            channel,
-                            self.factory.sealed(AccessVerificationRequest(flow), channel.peer),
-                            await_reply=True, timeout_s=self.cfg.control_timeout_s,
-                        )
+                        request = self.factory.sealed(AccessVerificationRequest(flow), channel.peer)
+                        reply = oneshot(channel, request, await_reply=True,
+                                        timeout_s=self.cfg.control_timeout_s)
                         self.gate.open(reply, self.clock())
                 except (TransportError, OpenFailure) as exc:
-                    if self.cfg.verify_fail_open:
-                        log_event(self.logger, "verify-unreachable-accept", detail=exc)
-                        continue
-                    log_event(self.logger, "verify-unreachable-conflict", detail=exc)
-                    conflicted.append(flow)
+                    fail_open = self.cfg.verify_fail_open
+                    log_event(self.logger, "verify-unreachable-accept" if fail_open
+                              else "verify-unreachable-conflict", detail=exc)
+                    if not fail_open:
+                        conflicted.append(flow)
                     continue
-                if not isinstance(reply.body, AccessVerificationResponse):
-                    conflicted.append(flow)
-                    continue
-                if any(
+                if not isinstance(reply.body, AccessVerificationResponse) or any(
                     _overlapping(flow, remote) and _differs(decision, remote_decision)
                     for remote_decision in reply.body.decisions
                     for remote in remote_decision.flows
                 ):
                     conflicted.append(flow)
-        return conflicted or None
+        return conflicted
 
 
 def _judge(valid: list[AccessDecision], request: AccessRequestPattern, now: int) -> Verdict:

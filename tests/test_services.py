@@ -750,25 +750,6 @@ class TestDepEgress:
         assert forwarded == frames  # FIFO order preserved
         assert not service._pending
 
-    def test_frame_that_read_no_verdict_before_a_drain_is_not_buffered_again(self, dep):
-        service, catcher, _, _ = dep
-        now = now_ms()
-        service.handle_egress_frame(GOOSE_FRAME, now)  # buffered, one access request
-        store = service.egress_decisions
-        read = store.verdict
-
-        def stale(request, at):
-            # The session lands, and drains the flow, after this frame read no verdict.
-            store.verdict = read
-            service.install_decisions((grant_to_b(),), at)
-            return None
-
-        store.verdict = stale
-        service.handle_egress_frame(GOOSE_FRAME, now)
-        assert len(catcher.drain()) == 2
-        assert service.metrics.get("egress.access-request") == 1
-        assert not service._pending
-
     def test_bypass_skips_authorization_entirely(self, dep):
         catcher, deliver, pdp = UdpCatcher(), UdpCatcher(), EnvelopeSink()
         service = make_dep(catcher, deliver, pdp,
@@ -877,11 +858,26 @@ class TestDepIngress:
         assert len(service.ingress_decisions) == 0
 
 
+def send_init(service, sender, *decisions):
+    """Write a session initialization from `sender` (an EnvelopeFactory) to
+    a DEP's control server, on a connection of its own."""
+    with socket.create_connection(service.control_address, timeout=5) as conn:
+        send_envelope(conn, sender.sealed(SessionInitialization(decisions), service.cfg.id))
+
+
+def sealed_from_b(sender, frame):
+    """`frame` as dep-b's sealed payload exchange request to dep-a."""
+    return encode_envelope(sender.sealed(PayloadExchangeRequest(frame), "dep-a"))
+
+
 class TestSessionVerification:
-    def build(self, responder, fail_open=False):
+    """A started DEP verifies each initialization on its worker and installs
+    what the verifier agrees with on its loop."""
+
+    def build(self, responder, fail_open=False, timeout_s=0.4):
         catcher, deliver, pdp = UdpCatcher(), UdpCatcher(), EnvelopeSink()
-        self.catchers = (catcher, deliver)
         verifier = EnvelopeSink(responder)
+        self.closers = [catcher.close, deliver.close, pdp.close, verifier.close]
         registry = {
             "dep-a": DepRegistryEntry("dep-a", ("127.0.0.1", 9), ("127.0.0.1", 9)),
             "dep-b": DepRegistryEntry("dep-b", ("127.0.0.1", 9), catcher.address),
@@ -889,12 +885,15 @@ class TestSessionVerification:
         cfg = ServiceConfig(id="dep-a", pdp=("pdp-1", pdp.address), registry=registry,
                             device_deliver=deliver.address,
                             verifier_pdp=("pdp-2", verifier.address),
-                            verify_fail_open=fail_open, control_timeout_s=0.4)
-        return DepService(cfg), verifier, pdp
+                            verify_fail_open=fail_open, control_timeout_s=timeout_s)
+        service = DepService(cfg)
+        self.closers.insert(0, service.stop)
+        service.start()
+        return service, verifier, catcher
 
     def teardown_method(self):
-        for catcher in getattr(self, "catchers", ()):
-            catcher.close()
+        for close in getattr(self, "closers", ()):
+            close()
 
     def test_identical_decisions_accepted(self):
         decision = grant_to_a()
@@ -904,19 +903,20 @@ class TestSessionVerification:
                 return AccessVerificationResponse((decision,))
             return None
 
-        service, verifier, pdp = self.build(agree)
-        try:
-            service._handle_control(
-                seal(ProtocolEnvelope("pdp-1", 1, now_ms(),
-                                      SessionInitialization((decision,))), NOOP, "dep-a"),
-                lambda body: None,
-            )
-            assert len(service.ingress_decisions) == 1
-            assert service.metrics.get("session.verification-conflict") == 0
-        finally:
-            service.stop()
-            verifier.close()
-            pdp.close()
+        service, _, _ = self.build(agree)
+        installers = []
+        install = service.install_decisions
+
+        def recorded(decisions, now):
+            installers.append(threading.current_thread().name)
+            install(decisions, now)
+
+        service.install_decisions = recorded
+        send_init(service, EnvelopeFactory("pdp-1", NOOP), decision)
+        _wait_until(lambda: len(service.ingress_decisions) == 1, 3)
+        assert len(service.ingress_decisions) == 1
+        assert installers == ["dep-a-control"]  # posted back to the loop
+        assert service.metrics.get("session.verification-conflict") == 0
 
     def test_action_disagreement_installs_default_deny(self):
         granted = grant_to_a()
@@ -927,21 +927,32 @@ class TestSessionVerification:
                 return AccessVerificationResponse((denied,))
             return None
 
-        service, verifier, pdp = self.build(disagree)
-        try:
-            service._handle_control(
-                seal(ProtocolEnvelope("pdp-1", 1, now_ms(),
-                                      SessionInitialization((granted,))), NOOP, "dep-a"),
-                lambda body: None,
-            )
-            assert service.metrics.get("session.verification-conflict") == 1
-            installed = service.ingress_decisions.snapshot()
-            assert len(installed) == 1
-            assert installed[0].action is Action.DENY  # fallback, not the grant
-        finally:
-            service.stop()
-            verifier.close()
-            pdp.close()
+        service, _, _ = self.build(disagree)
+        send_init(service, EnvelopeFactory("pdp-1", NOOP), granted)
+        _wait_until(lambda: len(service.ingress_decisions) == 1, 3)
+        assert service.metrics.get("session.verification-conflict") == 1
+        installed = service.ingress_decisions.snapshot()
+        assert len(installed) == 1
+        assert installed[0].action is Action.DENY  # fallback, not the grant
+
+    def test_a_conflict_on_one_decision_installs_the_others(self):
+        agreed, disputed = grant_to_a(), grant_to_a("eth { goose { appid == 6 } }")
+
+        def verify(env):
+            if not isinstance(env.body, AccessVerificationRequest):
+                return None
+            if env.body.flow == disputed.flows[0]:
+                return AccessVerificationResponse((deny_decision(
+                    disputed.flows, disputed.valid_from, disputed.valid_until),))
+            return AccessVerificationResponse((agreed,))
+
+        service, _, _ = self.build(verify)
+        send_init(service, EnvelopeFactory("pdp-1", NOOP), agreed, disputed)
+        _wait_until(lambda: service.metrics.get("session.installed") == 1, 3)
+        assert service.metrics.get("session.verification-conflict") == 1
+        assert service.metrics.get("session.installed") == 1
+        actions = {d.flows: d.action for d in service.ingress_decisions.snapshot()}
+        assert actions == {agreed.flows: Action.GRANT, disputed.flows: Action.DENY}
 
     def test_conflict_enforces_the_buffered_frames_against_the_fallback(self):
         granted = grant_to_b()
@@ -952,64 +963,106 @@ class TestSessionVerification:
                 return AccessVerificationResponse((denied,))
             return None
 
-        service, verifier, pdp = self.build(disagree)
-        try:
-            service.handle_egress_frame(GOOSE_FRAME, now_ms())  # buffered, one request
-            assert service._pending
-            service._handle_control(
-                seal(ProtocolEnvelope("pdp-1", 1, now_ms(),
-                                      SessionInitialization((granted,))), NOOP, "dep-a"),
-                lambda body: None,
-            )
-            assert service.metrics.get("session.verification-conflict") == 1
-            assert not service._pending  # not left to linger until the fallback lapses
-            assert service.metrics.get("egress.denied") == 1
-            assert service.metrics.get("egress.forwarded") == 0
-        finally:
-            service.stop()
-            verifier.close()
-            pdp.close()
+        service, _, _ = self.build(disagree)
+        device = UdpCatcher()
+        self.closers.append(device.close)
+        device.sock.sendto(GOOSE_FRAME, service.capture_address)  # buffered, one request
+        _wait_until(lambda: service.metrics.get("egress.buffered") == 1, 3)
+        assert service._pending
+        send_init(service, EnvelopeFactory("pdp-1", NOOP), granted)
+        _wait_until(lambda: service.metrics.get("egress.denied") == 1, 3)
+        assert service.metrics.get("session.verification-conflict") == 1
+        assert not service._pending  # not left to linger until the fallback lapses
+        assert service.metrics.get("egress.denied") == 1
+        assert service.metrics.get("egress.forwarded") == 0
 
     def test_unreachable_verifier_fails_closed_by_default(self):
-        service, verifier, pdp = self.build(lambda env: None)
+        service, verifier, _ = self.build(lambda env: None)
         verifier.close()  # nobody listening
-        try:
-            granted = grant_to_a()
-            service._handle_control(
-                seal(ProtocolEnvelope("pdp-1", 1, now_ms(),
-                                      SessionInitialization((granted,))), NOOP, "dep-a"),
-                lambda body: None,
-            )
-            assert service.metrics.get("session.verification-conflict") == 1
-            installed = service.ingress_decisions.snapshot()
-            assert all(d.action is Action.DENY for d in installed)
-        finally:
-            service.stop()
-            pdp.close()
+        send_init(service, EnvelopeFactory("pdp-1", NOOP), grant_to_a())
+        _wait_until(lambda: len(service.ingress_decisions) == 1, 3)
+        assert service.metrics.get("session.verification-conflict") == 1
+        installed = service.ingress_decisions.snapshot()
+        assert installed and all(d.action is Action.DENY for d in installed)
+
+    def test_a_silent_verifier_does_not_stall_a_granted_flow(self):
+        # The verifier accepts and reads, and never replies.
+        service, _, catcher = self.build(lambda env: None, timeout_s=0.5)
+        service.egress_decisions.install(grant_to_b())
+        device = UdpCatcher()
+        self.closers.append(device.close)
+        send_init(service, EnvelopeFactory("pdp-1", NOOP),
+                  grant_to_a("eth { goose { appid == 6 } }"))
+        started = time.monotonic()
+        for _ in range(5):
+            device.sock.sendto(GOOSE_FRAME, service.capture_address)
+        forwarded = [catcher.recv() for _ in range(5)]
+        elapsed = time.monotonic() - started
+        assert len(forwarded) == 5
+        assert elapsed < 0.3
+        assert service.metrics.get("session.verification-conflict") == 0  # still verifying
 
 
 class TestDepStop:
-    def test_stop_wakes_both_blocking_loops_without_counting(self):
+    def test_stop_ends_the_loop_and_the_worker_without_counting(self):
         catcher, deliver, pdp = UdpCatcher(), UdpCatcher(), EnvelopeSink()
         service = make_dep(catcher, deliver, pdp)
+        before = set(threading.enumerate())
+
+        def added():  # the DEP's threads; the sink serves on threads of its own
+            return sorted(t.name for t in threading.enumerate()
+                          if t not in before and t.name.startswith("dep-a"))
+
         try:
-            assert service._data_sock.gettimeout() is None
-            assert service._capture_sock.gettimeout() is None
             service.start()
-            time.sleep(0.1)  # both loops are now blocked in recvfrom()
-            service.stop()
-            assert not any(t.is_alive() for t in service._threads)
+            assert added() == ["dep-a-control"]
+            deliver.sock.sendto(GOOSE_FRAME, service.capture_address)
+            pdp.wait_for(1)  # the first access request starts the worker
+            assert added() == ["dep-a-control", "dep-a-worker"]
             counts = service.metrics.dump()
-            woken = {name: n for name, n in counts.items()
-                     if name in ("egress.dissect-error", "ingress.undecodable",
-                                 "ingress.deliver-failed")
-                     or name.endswith((".send-failed", ".handler-error"))}
-            assert woken == {}
+            service.stop()
+            assert added() == []
+            assert service.metrics.dump() == counts
+            sockets = (service._data_sock, service._capture_sock,
+                       service._server._wake_r, service._server._wake_w)
+            assert all(sock.fileno() == -1 for sock in sockets)
         finally:
             service.stop()
             pdp.close()
             catcher.sock.close()
             deliver.sock.close()
+
+
+class TestDepLoop:
+    @pytest.mark.parametrize("handler, endpoint, errors, handled", [
+        ("handle_egress_frame", "capture_address", "egress.handler-error", "egress.buffered"),
+        ("handle_datagram", "data_address", "ingress.handler-error", "ingress.undecodable"),
+    ])
+    def test_a_failing_handler_is_counted_and_the_loop_goes_on(self, handler, endpoint,
+                                                                errors, handled):
+        catcher, deliver, pdp = UdpCatcher(), UdpCatcher(), EnvelopeSink()
+        service = make_dep(catcher, deliver, pdp)
+        handle, calls = getattr(service, handler), []
+
+        def failing_once(datagram, now):
+            calls.append(datagram)
+            if len(calls) == 1:
+                raise RuntimeError("bad datagram")
+            handle(datagram, now)
+
+        setattr(service, handler, failing_once)
+        try:
+            service.start()
+            for _ in range(2):
+                deliver.sock.sendto(GOOSE_FRAME, getattr(service, endpoint))
+            _wait_until(lambda: service.metrics.get(handled) == 1, 3)
+        finally:
+            service.stop()
+            pdp.close()
+            catcher.close()
+            deliver.close()
+        assert service.metrics.get(errors) == 1
+        assert service.metrics.get(handled) == 1
 
 
 class TestRawCaptureMode:
@@ -1027,10 +1080,82 @@ class TestRawCaptureMode:
             assert "raw capture" in str(exc)
         else:
             assert service.capture_address == "lo"
-            assert service._capture_sock.gettimeout() == 0.2  # it cannot be shut down
+            service.start()
+            started = time.monotonic()
             service.stop()
+            assert time.monotonic() - started < 1.0  # the loop is woken, not polled
+            assert service._capture_sock.fileno() == -1
         finally:
             pdp.close()
+
+
+class TestDepOrdering:
+    """A DEP handles each control envelope before any datagram that
+    arrived after it."""
+
+    @pytest.fixture
+    def dep(self):
+        catcher, deliver, pdp = UdpCatcher(), UdpCatcher(), EnvelopeSink()
+        service = make_dep(catcher, deliver, pdp)
+        yield service
+        service.stop()
+        pdp.close()
+        catcher.close()
+        deliver.close()
+
+    @staticmethod
+    def grant(port):
+        now = now_ms()
+        return AccessDecision((parse_pattern(f"eth {{ ipv4 {{ udp {{ dstport == {port} }} }} }}"),),
+                              Action.GRANT, frozenset({"dep-a"}), now - 1000, now + 60_000,
+                              frozenset({f"grant-{port}"}))
+
+    def test_each_init_is_installed_before_the_datagram_after_it(self, dep):
+        service = dep
+        service.start()
+        pdp, peer = EnvelopeFactory("pdp-1", NOOP), EnvelopeFactory("dep-b", NOOP)
+        channel = pdp.channel("dep-a", service.control_address)
+        data = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        ports = range(41000, 41100)
+        try:
+            with channel.lock:  # admits the connection
+                channel.write([pdp.sealed(SessionInitialization((self.grant(40999),)), "dep-a")], 5)
+            _wait_until(lambda: len(service.ingress_decisions) == 1, 3)
+            for i, port in enumerate(ports):
+                with channel.lock:
+                    channel.write([pdp.sealed(SessionInitialization((self.grant(port),)),
+                                              "dep-a")], 5)
+                data.sendto(sealed_from_b(peer, _udp_between("b", "a", port)),
+                            service.data_address)
+                if i % 10 == 9:
+                    time.sleep(0.002)  # keep within the data socket's buffer
+            judged = ("ingress.delivered", "ingress.no-decision", "ingress.denied")
+            _wait_until(lambda: sum(service.metrics.get(n) for n in judged) == len(ports), 10)
+        finally:
+            pdp.close()
+            data.close()
+        assert service.metrics.get("ingress.no-decision") == 0
+        assert service.metrics.get("ingress.delivered") == len(ports)
+
+    def test_an_init_on_a_new_connection_precedes_a_datagram_queued_after_it(self, dep):
+        service = dep
+        peer = EnvelopeFactory("dep-b", NOOP)
+        data = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        # Decoding this many decisions outlasts the interpreter's thread switch
+        # interval (5 ms), so a second thread reading datagrams would run meanwhile.
+        ports = range(41000, 41200)
+        try:
+            # Both are queued at the DEP before its loop runs.
+            send_init(service, EnvelopeFactory("pdp-1", NOOP), *map(self.grant, ports))
+            data.sendto(sealed_from_b(peer, _udp_between("b", "a", ports[-1])),
+                        service.data_address)
+            service.start()
+            _wait_until(lambda: service.metrics.get("ingress.delivered")
+                        + service.metrics.get("ingress.no-decision") == 1, 3)
+        finally:
+            data.close()
+        assert service.metrics.get("ingress.no-decision") == 0
+        assert service.metrics.get("ingress.delivered") == 1
 
 
 def _dstport(request) -> int:
@@ -1229,9 +1354,9 @@ class TestDepAccessRequests:
 
         channel.write = counted
         for port in ports:
-            service._requests.put(dissect(_udp_to(port)))
-        service._requests.put(None)
-        service._write_requests()
+            service._jobs.put(dissect(_udp_to(port)))
+        service._jobs.put(None)
+        service._work()
         return writes
 
     def test_queued_requests_leave_in_one_write_in_sequence_order(self):
@@ -1448,7 +1573,7 @@ class TestControlPlane:
         # request timeout; make that longer than the test.
         topo = run_topology(TopologyConfig(scheme=AuthScheme.HMAC_SHA512, policies=policies,
                                            request_timeout_ms=60_000))
-        dep_a, pdp = topo.services["dep-a"], topo.services["pdp-1"]
+        dep_a, dep_b = topo.services["dep-a"], topo.services["dep-b"]
         device = topo.active_device_sock
         try:
             # One handshake first, so dep-a's writer and connections exist.
@@ -1469,6 +1594,9 @@ class TestControlPlane:
             frames = 2 * len(ports) + 1
             _wait_until(lambda: dep_a.metrics.get("egress.forwarded")
                         + dep_a.metrics.get("egress.denied") == frames, 20, sample)
+            # Each nexthop installs its decision before the frames it grants.
+            _wait_until(lambda: dep_b.metrics.get("ingress.delivered")
+                        + dep_b.metrics.get("ingress.no-decision") == 2 * len(granted), 5)
         finally:
             metrics = topo.shutdown()
         assert peak[0] == before
@@ -1479,6 +1607,8 @@ class TestControlPlane:
         assert metrics["dep-a"].get("egress.request-failed", 0) == 0
         assert metrics["dep-a"]["egress.forwarded"] == 2 * len(granted)
         assert metrics["dep-a"]["egress.denied"] == 2 * (len(ports) - len(granted)) + 1
+        assert metrics["dep-b"].get("ingress.no-decision", 0) == 0
+        assert metrics["dep-b"]["ingress.delivered"] == 2 * len(granted)
 
     def test_start_stop_cycles_leave_no_threads_behind(self):
         from flowgate.bench.topology import TopologyConfig, run_topology
