@@ -2,27 +2,29 @@
 a combined administration/attribute/decision node.
 
 Everything binds to loopback with kernel-assigned ports, so topologies can
-run in parallel.  All sockets are bound before any service starts, which
-lets the enforcement registry carry final addresses and avoids startup
-races.  The returned handle exposes the live service objects (tests reach
-in to flip attribute values or inspect stores), the plug-in points for the
-benchmark endpoints, and a shutdown that collects every metrics dump.
+run in parallel.  All sockets are bound, and the control sockets listen,
+before any service starts: the enforcement registry carries final
+addresses, and whatever is sent before its receiver's loop runs waits in
+the socket's queue, so no start-up delay is needed.  The returned handle
+exposes the live service objects (tests reach in to flip attribute values
+or inspect stores), the plug-in points for the benchmark endpoints, and a
+shutdown that collects every metrics dump.
 """
 
 from __future__ import annotations
 
 import socket
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
+from ..decisions import DEFAULT_DENY_TTL_MS
 from ..errors import ServiceStartupError
 from ..policy import AttributeKey, AttributeValue, Policy
 from ..services.aasp import AaspService
-from ..services.config import BypassRule, DepRegistryEntry, ServiceConfig
+from ..services.config import DEFAULT_REQUEST_TIMEOUT_MS, BypassRule, DepRegistryEntry, ServiceConfig
 from ..services.dep import DepService
 from ..services.pasp import PaspService
 from ..services.pdp import PdpService
@@ -46,8 +48,8 @@ class TopologyConfig:
     bypass_rules: list[BypassRule] = field(default_factory=list)
     active: EndpointProfile = DEFAULT_ACTIVE
     passive: EndpointProfile = DEFAULT_PASSIVE
-    default_deny_ttl_ms: int = 5_000
-    request_timeout_ms: int = 1_000
+    default_deny_ttl_ms: int = DEFAULT_DENY_TTL_MS
+    request_timeout_ms: int = DEFAULT_REQUEST_TIMEOUT_MS
     verify_sessions: bool = False
 
 
@@ -204,7 +206,6 @@ def run_topology(config: TopologyConfig) -> Topology:
                 pass
         raise
 
-    time.sleep(0.05)  # accept loops up before anyone connects
     return Topology(
         services=services,
         config=config,

@@ -11,7 +11,6 @@ validity is bounded by the earliest-expiring attribute.  Enforcement
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Protocol
 
@@ -281,10 +280,12 @@ class DecisionStore:
     each other.  Lookups never return expired entries.  A flow index narrows
     a lookup to the issuers whose flows may match, and a bounded request-key
     memo keeps each verdict while the decisions behind it cannot change.
+
+    A store is not thread-safe: its owner (a DEP's loop) installs, looks up
+    and drains on one thread.  Other threads may only read `len()`.
     """
 
     def __init__(self, judge: Callable[..., Verdict] = judge):
-        self._lock = threading.Lock()
         self._judge = judge
         self._by_issuer: dict[object, AccessDecision] = {}
         self._index = FlowIndex()  # every stored flow, filed under its issuer
@@ -294,26 +295,25 @@ class DecisionStore:
 
     def install(self, decision: AccessDecision) -> None:
         issuer = decision.origin_policy_ids or tuple(f.canonical_bytes() for f in decision.flows)
-        with self._lock:
-            replaced = self._by_issuer.get(issuer)
-            if replaced is not None:
-                self._unfile_locked(issuer, replaced)
-            self._by_issuer[issuer] = decision
-            for flow in decision.flows:
-                self._index.add(flow, issuer)
-            self._next_expiry = min(self._next_expiry, decision.valid_until)
-            self._memo.clear()
+        replaced = self._by_issuer.get(issuer)
+        if replaced is not None:
+            self._unfile(issuer, replaced)
+        self._by_issuer[issuer] = decision
+        for flow in decision.flows:
+            self._index.add(flow, issuer)
+        self._next_expiry = min(self._next_expiry, decision.valid_until)
+        self._memo.clear()
 
-    def _unfile_locked(self, issuer: object, decision: AccessDecision) -> None:
+    def _unfile(self, issuer: object, decision: AccessDecision) -> None:
         for flow in decision.flows:
             self._index.remove(flow, issuer)
 
-    def _purge_locked(self, now: int) -> None:
+    def _purge(self, now: int) -> None:
         if now <= self._next_expiry:
             return
         dead = [k for k, d in self._by_issuer.items() if now > d.valid_until]
         for k in dead:
-            self._unfile_locked(k, self._by_issuer.pop(k))
+            self._unfile(k, self._by_issuer.pop(k))
         self._next_expiry = min((d.valid_until for d in self._by_issuer.values()), default=float("inf"))
         if dead:
             self._memo.clear()
@@ -321,20 +321,17 @@ class DecisionStore:
     def verdict(self, request: AccessRequestPattern, now: int) -> Optional[Verdict]:
         """Verdict of the decisions valid at `now` that match the request, or None."""
         request_key = request.key()
-        # Unlocked: every writer replaces or clears entries under the lock.
         entry = self._memo.get(request_key)
         if entry is not None and entry[1] <= now <= entry[2]:
             return entry[0]
-        with self._lock:
-            return self._lookup_locked(request, request_key, now)[0]
+        return self._lookup(request, request_key, now)[0]
 
     def matching(self, request: AccessRequestPattern, now: int) -> list[AccessDecision]:
         """Decisions valid at `now` with at least one flow matching the request."""
-        with self._lock:
-            return self._lookup_locked(request, request.key(), now)[1]
+        return self._lookup(request, request.key(), now)[1]
 
-    def _lookup_locked(self, request: AccessRequestPattern, request_key: tuple, now: int) -> tuple:
-        self._purge_locked(now)  # so no stored decision has expired at `now`
+    def _lookup(self, request: AccessRequestPattern, request_key: tuple, now: int) -> tuple:
+        self._purge(now)  # so no stored decision has expired at `now`
         stored = (self._by_issuer[i] for i in self._index.candidates(request))
         matched = [d for d in stored if d.matching_flows(request)]
         valid = [d for d in matched if d.valid_from <= now]
@@ -349,9 +346,7 @@ class DecisionStore:
         return verdict, valid
 
     def snapshot(self) -> list[AccessDecision]:
-        with self._lock:
-            return list(self._by_issuer.values())
+        return list(self._by_issuer.values())
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._by_issuer)
+        return len(self._by_issuer)

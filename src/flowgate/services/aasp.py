@@ -10,7 +10,6 @@ policy behavior is driven.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Optional
 
 from ..policy import FOREVER, AttributeBinding, AttributeValue
@@ -29,7 +28,6 @@ class AaspService(Service):
 
     def __init__(self, cfg: ServiceConfig, clock=None, control_sock=None):
         super().__init__(cfg, clock or now_ms)
-        self._lock = threading.Lock()
         self._values: dict[str, tuple[AttributeValue, Optional[int]]] = dict(cfg.values)
         self._server = ControlServer(
             cfg.id, cfg.listen_control or ("127.0.0.1", 0), self.gate, self._handle,
@@ -41,11 +39,13 @@ class AaspService(Service):
         log_event(self.logger, "started", control=self.control_address, attributes=len(self._values))
 
     def set_value(self, key: str, value: AttributeValue, freshness_ms: Optional[int] = None) -> None:
-        """Runtime update of an attribute value (and optionally its freshness)."""
-        with self._lock:
-            if freshness_ms is None and key in self._values:
-                freshness_ms = self._values[key][1]
-            self._values[key] = (value, freshness_ms)
+        """Runtime update of an attribute value (and optionally its freshness).
+
+        Any thread may call it: it replaces the key's one tuple, and the loop
+        reads that tuple with one `dict.get`."""
+        if freshness_ms is None and key in self._values:
+            freshness_ms = self._values[key][1]
+        self._values[key] = (value, freshness_ms)
         log_event(self.logger, "value-updated", key=key, value=value)
 
     def _handle(self, env: ProtocolEnvelope, reply: Callable[[MessageBody], None]) -> None:
@@ -57,8 +57,7 @@ class AaspService(Service):
         unknown = []
         for key in env.body.keys:
             entry = self.cfg.catalog.get(key)
-            with self._lock:
-                configured = self._values.get(key)
+            configured = self._values.get(key)
             if entry is None or configured is None:
                 unknown.append(key)
                 continue

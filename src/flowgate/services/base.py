@@ -43,7 +43,11 @@ def log_event(logger: logging.Logger, event: str, **fields) -> None:
 
 
 class Metrics:
-    """Thread-safe event counters, dumped once at shutdown."""
+    """Thread-safe event counters, dumped once at shutdown.
+
+    Locked, unlike the services' state: a DEP's worker counts failed access
+    requests and job errors itself, and must count them also in a DEP
+    driven without start(), whose loop never runs."""
 
     def __init__(self):
         self._counts: dict[str, int] = {}
@@ -122,7 +126,9 @@ class PeerChannel:
     accepted from this sender, so envelopes to one peer must leave in the
     order their numbers were issued.  Hold `lock` from sealing an envelope
     until it is written (`exchange`, `write`, or a datagram send), and across the
-    reply when awaiting one, so that replies are opened in order too.
+    reply when awaiting one, so that replies are opened in order too.  A
+    lock is needed although each service sends from its loop: a DEP's
+    worker sends too, and `close()` runs on the thread that stops the service.
 
     Control envelopes share one TCP connection to `address`, opened on first
     use and kept open.  Before a write the channel reconnects when the

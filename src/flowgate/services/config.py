@@ -25,6 +25,7 @@ import os
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
+from ..decisions import DEFAULT_DENY_TTL_MS, DEFAULT_ERROR_RETRY_MS
 from ..errors import ConfigError
 from ..frames import DissectionOptions
 from ..pattern_text import _parse_literal, _tokenize, parse_pattern
@@ -38,6 +39,9 @@ Address = tuple[str, int]
 #: A remote service reference: (peer id, control address).  The id selects
 #: the key material used to seal envelopes addressed to that peer.
 PeerRef = tuple[str, Address]
+
+#: How long a DEP waits for an answer before it asks the PDP again.
+DEFAULT_REQUEST_TIMEOUT_MS = 1_000
 
 
 def parse_address(text: str) -> Address:
@@ -107,9 +111,9 @@ class ServiceConfig:
     store_file: Optional[str] = None
     capture_interface: Optional[str] = None  # raw-capture mode (privileged)
     buffer_limit: int = 64
-    request_timeout_ms: int = 1_000
-    default_deny_ttl_ms: int = 5_000
-    error_retry_ms: int = 1_000
+    request_timeout_ms: int = DEFAULT_REQUEST_TIMEOUT_MS
+    default_deny_ttl_ms: int = DEFAULT_DENY_TTL_MS
+    error_retry_ms: int = DEFAULT_ERROR_RETRY_MS
     freshness_window_ms: int = 2_000
     clock_skew_slack_ms: int = 50
     control_timeout_s: float = 5.0

@@ -4,12 +4,14 @@ Holds the persistent policy set.  Every successful create, update, or
 delete bumps the revision counter and pushes the change to all registered
 decision points; a decision point can also pull the complete set at any
 time.  Requests must come from a configured administrator identity.
+
+The policy set and revision belong to the control loop: the constructor
+loads them, and afterwards only the loop's handlers change them.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
 from typing import Callable
 
@@ -38,7 +40,6 @@ class PaspService(Service):
     def __init__(self, cfg: ServiceConfig, clock=None, control_sock=None,
                  initial_policies=()):
         super().__init__(cfg, clock or now_ms)
-        self._lock = threading.Lock()
         self._policies: dict[str, Policy] = {}
         self._revision = 0
         self._server = ControlServer(
@@ -59,12 +60,10 @@ class PaspService(Service):
 
     @property
     def revision(self) -> int:
-        with self._lock:
-            return self._revision
+        return self._revision
 
     def policies(self) -> list[Policy]:
-        with self._lock:
-            return list(self._policies.values())
+        return list(self._policies.values())
 
     # -- request handling ----------------------------------------------------
 
@@ -73,9 +72,7 @@ class PaspService(Service):
         if isinstance(body, PolicyCrudRequest):
             reply(self._handle_crud(env.sender_id, body))
         elif isinstance(body, PolicyExchangeRequest):
-            with self._lock:
-                snapshot = tuple(self._policies.values())
-                revision = self._revision
+            snapshot, revision = tuple(self._policies.values()), self._revision
             self.metrics.incr("exchange.complete-served")
             log_event(self.logger, "complete-exchange", pdp=env.sender_id, revision=revision)
             reply(PolicyExchangeComplete(snapshot, revision))
@@ -89,8 +86,7 @@ class PaspService(Service):
             return PolicyCrudResponse(CrudStatus.UNAUTHORIZED)
 
         if req.op is CrudOp.READ:
-            with self._lock:
-                policy = self._policies.get(req.policy_id)
+            policy = self._policies.get(req.policy_id)
             self.metrics.incr("crud.read")
             if policy is None:
                 return PolicyCrudResponse(CrudStatus.NOT_FOUND)
@@ -107,23 +103,22 @@ class PaspService(Service):
                 log_event(self.logger, "crud-invalid", id=req.policy_id, violations=len(violations))
                 return PolicyCrudResponse(CrudStatus.VALIDATION_FAILED, violations=tuple(violations))
 
-        with self._lock:
-            exists = req.policy_id in self._policies
-            if req.op is CrudOp.CREATE and exists:
-                self.metrics.incr("crud.duplicate")
-                return PolicyCrudResponse(CrudStatus.DUPLICATE_ID)
-            if req.op in (CrudOp.UPDATE, CrudOp.DELETE) and not exists:
-                self.metrics.incr("crud.not-found")
-                return PolicyCrudResponse(CrudStatus.NOT_FOUND)
-            if req.op is CrudOp.DELETE:
-                del self._policies[req.policy_id]
-                change = (CrudOp.DELETE, req.policy_id, None)
-            else:
-                self._policies[req.policy_id] = req.policy
-                change = (req.op, req.policy_id, req.policy)
-            self._revision += 1
-            revision = self._revision
-            self._persist_locked()
+        exists = req.policy_id in self._policies
+        if req.op is CrudOp.CREATE and exists:
+            self.metrics.incr("crud.duplicate")
+            return PolicyCrudResponse(CrudStatus.DUPLICATE_ID)
+        if req.op in (CrudOp.UPDATE, CrudOp.DELETE) and not exists:
+            self.metrics.incr("crud.not-found")
+            return PolicyCrudResponse(CrudStatus.NOT_FOUND)
+        if req.op is CrudOp.DELETE:
+            del self._policies[req.policy_id]
+            change = (CrudOp.DELETE, req.policy_id, None)
+        else:
+            self._policies[req.policy_id] = req.policy
+            change = (req.op, req.policy_id, req.policy)
+        self._revision += 1
+        revision = self._revision
+        self._persist()
 
         self.metrics.incr(f"crud.{req.op.name.lower()}")
         log_event(self.logger, "crud", op=req.op.value, id=req.policy_id, revision=revision)
@@ -168,10 +163,9 @@ class PaspService(Service):
         if violations:
             log_event(self.logger, "preload-invalid", id=policy.id, violations="; ".join(violations))
             return
-        with self._lock:
-            self._policies[policy.id] = policy
-            self._revision += 1
-            self._persist_locked()
+        self._policies[policy.id] = policy
+        self._revision += 1
+        self._persist()
 
     def _load_store(self) -> None:
         path = self.cfg.store_file
@@ -187,7 +181,7 @@ class PaspService(Service):
             self._policies[policy.id] = policy
         log_event(self.logger, "store-loaded", policies=count, revision=self._revision)
 
-    def _persist_locked(self) -> None:
+    def _persist(self) -> None:
         path = self.cfg.store_file
         if path is None:
             return

@@ -13,7 +13,6 @@ policy id and reused until they expire or the policy changes.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Optional
 
 from ..decisions import AccessDecision, default_decision, deny_decision, dynamic_authorization
@@ -94,20 +93,21 @@ class RemoteAttributeSource:
 
 
 class PdpService(Service):
+    """One decision point.  Its replica, index and cache belong to its control
+    loop: the complete pull at startup runs before the loop starts, and all
+    else on the loop, one message at a time.  A derivation that asks the
+    attribute service blocks the loop, so no policy change lands during it."""
+
     role = "pdp"
 
     def __init__(self, cfg: ServiceConfig, clock=None, control_sock=None,
                  attribute_source=None):
         super().__init__(cfg, clock or now_ms)
-        self._lock = threading.Lock()
         self._policies: dict[str, Policy] = {}
         self._index = FlowIndex()  # every policy's flow, filed under its id
         self._revision = 0
         self._cache: dict[str, AccessDecision] = {}
-        # The round's access requests and, while they are decided, their answers;
-        # the control thread alone uses both.
-        self._round: list[tuple[str, AccessRequest]] = []
-        self._answers: Optional[list[tuple[str, list[AccessDecision]]]] = None
+        self._round: list[tuple[str, AccessRequest]] = []  # requests not yet answered
         self._server = ControlServer(
             cfg.id, cfg.listen_control or ("127.0.0.1", 0), self.gate, self._handle,
             self.factory, self.metrics, self.logger, sock=control_sock, clock=self.clock,
@@ -125,17 +125,17 @@ class PdpService(Service):
 
     @property
     def revision(self) -> int:
-        with self._lock:
-            return self._revision
+        return self._revision
 
     def policies(self) -> list[Policy]:
-        with self._lock:
-            return list(self._policies.values())
+        return list(self._policies.values())
 
     def start(self) -> None:
-        self._server.start()
+        """Pull the complete set, then start the loop.  The listener is bound
+        already, so a push that arrives during the pull waits in its backlog."""
         if self.cfg.pasp is not None:
             self._pull_complete()
+        self._server.start()
         log_event(self.logger, "started", control=self.control_address,
                   policies=len(self._policies), revision=self._revision)
 
@@ -154,27 +154,25 @@ class PdpService(Service):
             return
         if not isinstance(reply.body, PolicyExchangeComplete):
             return
-        with self._lock:
-            self._replace_locked({p.id: p for p in reply.body.policies})
-            self._revision = reply.body.revision
-            self._cache.clear()
+        self._replace({p.id: p for p in reply.body.policies})
+        self._revision = reply.body.revision
+        self._cache.clear()
         self.metrics.incr("exchange.complete-pulled")
         log_event(self.logger, "complete-pull", policies=len(reply.body.policies),
                   revision=reply.body.revision)
 
     def _apply_incremental(self, body: PolicyExchangeIncremental) -> None:
-        with self._lock:
-            if body.revision <= self._revision:
-                self.metrics.incr("exchange.stale-incremental")
-                return
-            gap = body.revision - self._revision > len(body.changes)
-            for op, pid, policy in body.changes:
-                if op is CrudOp.DELETE:
-                    self._file_locked(pid, None)
-                elif policy is not None:
-                    self._file_locked(pid, policy)
-                self._cache.pop(pid, None)
-            self._revision = body.revision
+        if body.revision <= self._revision:
+            self.metrics.incr("exchange.stale-incremental")
+            return
+        gap = body.revision - self._revision > len(body.changes)
+        for op, pid, policy in body.changes:
+            if op is CrudOp.DELETE:
+                self._file(pid, None)
+            elif policy is not None:
+                self._file(pid, policy)
+            self._cache.pop(pid, None)
+        self._revision = body.revision
         self.metrics.incr("exchange.incremental-applied")
         log_event(self.logger, "incremental-applied", changes=len(body.changes),
                   revision=body.revision)
@@ -182,14 +180,14 @@ class PdpService(Service):
             # Missed at least one push; reconcile with the full set.
             self._pull_complete()
 
-    def _replace_locked(self, policies: dict[str, Policy]) -> None:
+    def _replace(self, policies: dict[str, Policy]) -> None:
         """Make `policies` the replica and file each one in a new index."""
         self._policies = policies
         self._index = FlowIndex()
         for pid, policy in policies.items():
             self._index.add(policy.flow, pid)
 
-    def _file_locked(self, pid: str, policy: Optional[Policy]) -> None:
+    def _file(self, pid: str, policy: Optional[Policy]) -> None:
         """Put `policy` in the replica and the index under `pid`; None drops it."""
         old = self._policies.get(pid)
         if old is not None:
@@ -218,26 +216,19 @@ class PdpService(Service):
 
     def _decisions_for(self, policies: list[Policy], now: int) -> list[AccessDecision]:
         """One decision per policy: the cached one while it outlives the skew
-        slack, else a new derivation, which may ask the attribute service and
-        so runs outside `_lock`.  Call without holding it."""
-        with self._lock:
-            cached = [self._cache.get(p.id) for p in policies]
+        slack, else a new derivation, which may ask the attribute service."""
         out = []
-        for policy, decision in zip(policies, cached):
+        for policy in policies:
+            decision = self._cache.get(policy.id)
             # A decision that lapses within the DEPs' skew slack would be
             # dropped on arrival there, so it is derived again instead.
             if decision is not None and decision.valid_at(now + self.cfg.clock_skew_slack_ms):
                 self.metrics.incr("decisions.cache-hit")
             else:
-                decision = dynamic_authorization(
+                decision = self._cache[policy.id] = dynamic_authorization(
                     [policy], self.attribute_source, now, self.cfg.catalog,
                     nexthop_resolver=self._nexthop_for, error_retry_ms=self.cfg.error_retry_ms,
                 )[0]
-                with self._lock:
-                    # A change that arrived meanwhile has dropped the entry;
-                    # keep it dropped rather than cache the old policy's result.
-                    if self._policies.get(policy.id) is policy:
-                        self._cache[policy.id] = decision
                 self.metrics.incr("decisions.derived")
             out.append(decision)
         return out
@@ -265,34 +256,29 @@ class PdpService(Service):
         if not self._round:
             return
         requests, self._round = self._round, []
-        self._answers = answers = []
+        answers = []
         for requester, req in requests:
             try:
-                self._handle_access_request(requester, req)
+                answers.append((requester, self._handle_access_request(requester, req)))
             except Exception:
                 self.metrics.incr("control.handler-error")
                 self.logger.exception("access request from %s failed", requester)
-        self._answers = None
         self._send_inits(answers)
 
-    def _handle_access_request(self, requester: str, req: AccessRequest) -> None:
-        """Decide one request; answer it with the round being answered, or at once."""
+    def _handle_access_request(self, requester: str, req: AccessRequest) -> list[AccessDecision]:
+        """The decisions that answer one request from `requester`."""
         now = self.clock()
-        with self._lock:
-            candidates = (self._policies[pid] for pid in self._index.candidates(req.request))
-            applicable = sorted(
-                (p for p in candidates if match_nested(p.flow, req.request) is not None),
-                key=lambda p: p.id,
-            )
+        candidates = (self._policies[pid] for pid in self._index.candidates(req.request))
+        applicable = sorted(
+            (p for p in candidates if match_nested(p.flow, req.request) is not None),
+            key=lambda p: p.id,
+        )
         decisions = self._decisions_for(applicable, now)
         self.metrics.incr("access-requests")
         if not decisions:
             decisions = [default_decision(req.request, now, self.cfg.default_deny_ttl_ms)]
             self.metrics.incr("decisions.default-deny")
-        if self._answers is not None:
-            self._answers.append((requester, decisions))
-        else:
-            self._send_inits([(requester, decisions)])
+        return decisions
 
     def _send_inits(self, answers: list[tuple[str, list[AccessDecision]]]) -> None:
         """Each nexthop first gets one initialization with the decisions of
@@ -326,8 +312,7 @@ class PdpService(Service):
     def _verify_flow(self, flow: FlowPattern) -> list[AccessDecision]:
         now = self.clock()
         key = flow.canonical_bytes()
-        with self._lock:
-            owners = [p for p in self._policies.values() if p.flow.canonical_bytes() == key]
+        owners = [p for p in self._policies.values() if p.flow.canonical_bytes() == key]
         decisions = self._decisions_for(owners, now)
         self.metrics.incr("verifications")
         if decisions:

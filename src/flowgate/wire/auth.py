@@ -160,7 +160,8 @@ class InboundGate:
     Checks, in order: scheme match, tag validity, replay (per-sender strict
     sequence increase), timestamp freshness.  `open` either returns nothing
     or raises an OpenFailure subclass; accepted envelopes advance the
-    sender's sequence watermark.
+    sender's sequence watermark.  The watermarks are locked: a DEP's worker
+    opens verifier replies beside the loop that opens everything else.
     """
 
     def __init__(
@@ -194,7 +195,9 @@ class InboundGate:
 
 
 class SequenceCounter:
-    """Strictly increasing per-process sequence numbers for outbound envelopes."""
+    """Strictly increasing per-process sequence numbers for outbound envelopes.
+
+    Locked, because a DEP's worker seals access requests beside its loop."""
 
     def __init__(self, start: int = 0):
         self._next = start

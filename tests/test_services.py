@@ -9,12 +9,12 @@ import time
 
 import pytest
 
-from flowgate.decisions import AccessDecision, deny_decision
+from flowgate.decisions import AccessDecision, DecisionStore, deny_decision
 from flowgate.frames import dissect, goose_frame, udp_frame
 from flowgate.pattern_text import parse_pattern
 from flowgate.errors import TransportError
 from flowgate.policy import (
-    Action, AttributeBinding, AttributeKey, Comparison, CompareOp, Policy, predicate,
+    Action, AttributeKey, Comparison, CompareOp, Policy, predicate,
 )
 from flowgate.services.aasp import AaspService
 from flowgate.services.base import (
@@ -321,7 +321,7 @@ class TestPdp:
 
     def test_grant_fans_out_to_requester_and_nexthop(self, stack):
         pdp, _, dep_a, dep_b = stack
-        pdp._replace_locked({"trip": trip_policy()})
+        pdp._replace({"trip": trip_policy()})
         self.send_access_request(pdp, self.GOOSE)
         (to_a,) = dep_a.wait_for(1)
         (to_b,) = dep_b.wait_for(1)
@@ -333,9 +333,9 @@ class TestPdp:
     def test_cached_decision_skips_attribute_fetch(self, stack):
         pdp, _, dep_a, _ = stack
         aux = frozenset({predicate("a1", Comparison("mode", CompareOp.EQ, "normal"))})
-        pdp._replace_locked({"dyn": Policy("dyn", Action.GRANT,
-                                           parse_pattern("eth { goose { appid == 5 } }"),
-                                           aux, nexthop_ids=frozenset({"dep-b"}))})
+        pdp._replace({"dyn": Policy("dyn", Action.GRANT,
+                                    parse_pattern("eth { goose { appid == 5 } }"),
+                                    aux, nexthop_ids=frozenset({"dep-b"}))})
         self.send_access_request(pdp, self.GOOSE)
         dep_a.wait_for(1)
         calls_after_first = pdp.attribute_source.calls
@@ -348,7 +348,7 @@ class TestPdp:
         pdp, _, _, _ = stack
         policy = Policy("short", Action.GRANT, parse_pattern("eth { goose { appid == 5 } }"),
                         static_max_validity=1_000, nexthop_ids=frozenset({"dep-b"}))
-        pdp._replace_locked({"short": policy})
+        pdp._replace({"short": policy})
         slack = pdp.cfg.clock_skew_slack_ms
         (first,) = pdp._decisions_for([policy], 10_000)
         assert first.valid_until == 11_000
@@ -360,7 +360,7 @@ class TestPdp:
 
     def test_static_policy_derivation_never_calls_resolver(self, stack):
         pdp, _, dep_a, _ = stack
-        pdp._replace_locked({"trip": trip_policy()})
+        pdp._replace({"trip": trip_policy()})
         self.send_access_request(pdp, self.GOOSE)
         dep_a.wait_for(1)
         assert pdp.attribute_source.calls == 0
@@ -369,7 +369,7 @@ class TestPdp:
         pdp, _, dep_a, dep_b = stack
         # no explicit nexthop ids: the registry must resolve them
         flow = parse_pattern('eth { ipv4 { dst == "10.0.0.2" udp { dstport == 40001 } } }')
-        pdp._replace_locked({"fwd": Policy("fwd", Action.GRANT, flow)})
+        pdp._replace({"fwd": Policy("fwd", Action.GRANT, flow)})
         frame = udp_frame("02:00:00:00:00:01", "02:00:00:00:00:02",
                           "10.0.0.1", "10.0.0.2", 40000, 40001, b"12345678")
         self.send_access_request(pdp, frame)
@@ -379,7 +379,7 @@ class TestPdp:
 
     def test_verification_returns_decisions_without_sessions(self, stack):
         pdp, _, dep_a, dep_b = stack
-        pdp._replace_locked({"trip": trip_policy()})
+        pdp._replace({"trip": trip_policy()})
         env = seal(ProtocolEnvelope("dep-a", time.monotonic_ns(), now_ms(),
                                     AccessVerificationRequest(trip_policy().flow)),
                    NOOP, "pdp-1")
@@ -1396,56 +1396,6 @@ class TestDepAccessRequests:
         assert service.metrics.get("egress.request-failed") == 7
 
 
-class TestPdpLock:
-    def test_slow_attribute_source_does_not_stall_a_static_request(self):
-        entered, release = threading.Event(), threading.Event()
-
-        class BlockingSource:
-            calls = 0
-
-            def resolve(self, keys):
-                self.calls += 1
-                entered.set()
-                release.wait(10)
-                return {"mode": AttributeBinding("mode", "normal", now_ms() - 1000,
-                                                 now_ms() + 60_000)}
-
-        dep_a, dep_b = EnvelopeSink(), EnvelopeSink()
-        cfg = ServiceConfig(id="pdp-1", catalog=dict(CATALOG),
-                            registry=_registry(dep_a.address, dep_b.address))
-        pdp = PdpService(cfg, attribute_source=BlockingSource())
-        aux = frozenset({predicate("a1", Comparison("mode", CompareOp.EQ, "normal"))})
-        pdp._replace_locked({
-            "dyn": Policy("dyn", Action.GRANT, parse_pattern("eth { goose { appid == 5 } }"),
-                          aux, nexthop_ids=frozenset({"dep-b"})),
-            "static": Policy("static", Action.GRANT, parse_pattern("eth { goose { appid == 6 } }"),
-                             nexthop_ids=frozenset({"dep-b"})),
-        })
-
-        def request(appid):
-            frame = goose_frame("02:00:00:00:00:01", "01:0c:cd:01:00:01", appid, b"t", pad_to=60)
-            pdp._handle_access_request("dep-a", AccessRequest(dissect(frame)))
-
-        dynamic = threading.Thread(target=request, args=(5,), daemon=True)
-        dynamic.start()
-        try:
-            assert entered.wait(5)
-            static = threading.Thread(target=request, args=(6,), daemon=True)
-            static.start()
-            static.join(2)
-            answered = not static.is_alive()
-            waiting = dynamic.is_alive()
-            granted = [d.origin_policy_ids for e in dep_a.wait_for(1) for d in e.body.decisions]
-        finally:
-            release.set()
-            dynamic.join(5)
-            pdp.stop()
-            dep_a.close()
-            dep_b.close()
-        assert answered and waiting
-        assert granted == [{"static"}]
-
-
 def _udp_between(src: str, dst: str, port: int) -> bytes:
     """A frame from dep-`src`'s device to dep-`dst`'s (see `_registry`)."""
     end = {"a": ("02:00:00:00:00:01", "10.0.0.1"), "b": ("02:00:00:00:00:02", "10.0.0.2")}
@@ -1500,9 +1450,9 @@ class TestPdpRounds:
         # dep-a's flows go to dep-b and dep-b's to dep-a: each DEP is the
         # other's nexthop.
         a_ports, b_ports = range(41000, 41003), range(42000, 42003)
-        service._replace_locked({p.id: p for p in
-                                 [_grant_to(port, "dep-b") for port in a_ports]
-                                 + [_grant_to(port, "dep-a") for port in b_ports]})
+        service._replace({p.id: p for p in
+                          [_grant_to(port, "dep-b") for port in a_ports]
+                          + [_grant_to(port, "dep-a") for port in b_ports]})
         self.in_one_write(service, *(
             [self.request("dep-a", i + 1, _udp_between("a", "b", port))
              for i, port in enumerate(a_ports)]
@@ -1524,7 +1474,7 @@ class TestPdpRounds:
 
     def test_a_policy_change_after_requests_in_one_round_leaves_their_decisions(self, pdp):
         service, written, dep_a, dep_b = pdp
-        service._replace_locked({"grant-41000": _grant_to(41000, "dep-b")})
+        service._replace({"grant-41000": _grant_to(41000, "dep-b")})
         delete = seal(ProtocolEnvelope("pasp", 1, now_ms(), PolicyExchangeIncremental(
             ((CrudOp.DELETE, "grant-41000", None),), 1)), NOOP, "pdp-1")
         self.in_one_write(service, self.request("dep-a", 1, _udp_between("a", "b", 41000)),
@@ -1537,14 +1487,14 @@ class TestPdpRounds:
 
     def test_a_request_that_fails_leaves_the_rest_of_the_round_answered(self, pdp):
         service, written, dep_a, dep_b = pdp
-        service._replace_locked({p.id: p for p in
-                                 (_grant_to(port, "dep-b") for port in (41000, 41001, 41002))})
+        service._replace({p.id: p for p in
+                          (_grant_to(port, "dep-b") for port in (41000, 41001, 41002))})
         decide = service._handle_access_request
 
         def failing(requester, req):
             if _dstport(req.request) == 41001:
                 raise RuntimeError("derivation failed")
-            decide(requester, req)
+            return decide(requester, req)
 
         service._handle_access_request = failing
         self.in_one_write(service, *(self.request("dep-a", i + 1, _udp_between("a", "b", port))
@@ -1627,3 +1577,77 @@ class TestControlPlane:
         _wait_until(lambda: not left.__setitem__(
             slice(None), [t for t in threading.enumerate() if t not in before]), 1)
         assert left == []
+
+
+class TestLoopOwnership:
+    """A service's state is read and written on its loop thread alone, for
+    as long as that loop runs."""
+
+    WATCHED = [(DecisionStore, "install"), (DecisionStore, "_lookup"),
+               (PdpService, "_replace"), (PdpService, "_file"), (PdpService, "_decisions_for"),
+               (PaspService, "_handle_crud"), (AaspService, "_handle")]
+
+    def test_state_is_touched_only_on_its_loop(self, monkeypatch):
+        from flowgate.bench.echo import DEFAULT_ACTIVE, DEFAULT_PASSIVE, PassiveEndpoint, build_echo_frame
+        from flowgate.bench.topology import TopologyConfig, run_topology
+
+        calls = []  # (method, object, calling thread, names of the live threads)
+
+        def watched(name, fn):
+            def wrapper(self, *args, **kwargs):
+                alive = {t.name for t in threading.enumerate()}
+                calls.append((name, self, threading.current_thread().name, alive))
+                return fn(self, *args, **kwargs)
+            return wrapper
+
+        for owner, attr in self.WATCHED:
+            monkeypatch.setattr(owner, attr, watched(attr, owner.__dict__[attr]))
+
+        aux = frozenset({predicate("a1", Comparison("mode", CompareOp.EQ, "normal"))})
+        gated = Policy("gated", Action.GRANT, parse_pattern(
+            'eth { ipv4 { dst == "10.0.0.2" udp { dstport == 40001 } } }'), aux)
+        topo = run_topology(TopologyConfig(
+            policies=[gated], catalog={"mode": CATALOG["mode"]}, values={"mode": ("normal", 300)}))
+        passive = PassiveEndpoint(sock=topo.passive_device_sock, echo=False).start()
+        dep_a, pdp = topo.services["dep-a"], topo.services["pdp-1"]
+        granted = build_echo_frame(DEFAULT_ACTIVE, DEFAULT_PASSIVE, b"\x00" * 12)
+
+        def send(frame):
+            topo.active_device_sock.sendto(frame, topo.active_capture)
+
+        try:
+            _wait_until(lambda: passive.received > 0, 5, lambda: send(granted))
+            assert passive.received > 0
+            send(_udp_to(40009))  # no policy speaks for it
+            _wait_until(lambda: dep_a.metrics.get("egress.denied") > 0, 5)
+            assert dep_a.metrics.get("egress.denied") > 0
+
+            trip = trip_policy()
+            for op, policy in ((CrudOp.CREATE, trip), (CrudOp.DELETE, None)):
+                reply = oneshot(topo.pasp_address,
+                                admin_envelope(PolicyCrudRequest(op, trip.id, policy)),
+                                await_reply=True)
+                assert reply.body.status is CrudStatus.OK
+            _wait_until(lambda: pdp.revision == 3, 5)
+            assert pdp.revision == 3
+
+            topo.services["aasp"].set_value("mode", "maintenance")
+            denied = dep_a.metrics.get("egress.denied")
+            _wait_until(lambda: dep_a.metrics.get("egress.denied") > denied, 5,
+                        lambda: send(granted))
+            assert dep_a.metrics.get("egress.denied") > denied
+        finally:
+            passive.stop()
+            topo.shutdown()
+
+        deps = [topo.services["dep-a"], topo.services["dep-b"]]
+        store_owner = {id(store): dep.cfg.id for dep in deps
+                       for store in (dep.egress_decisions, dep.ingress_decisions)}
+        strays = []
+        for name, obj, thread, alive in calls:
+            owner = store_owner[id(obj)] if isinstance(obj, DecisionStore) else obj.cfg.id
+            loop = f"{owner}-control"
+            if loop in alive and thread != loop:
+                strays.append((owner, name, thread))
+        assert strays == []
+        assert {name for name, *_ in calls} == {attr for _, attr in self.WATCHED}
