@@ -15,7 +15,8 @@ protocol still matches tunnelled traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Hashable, Iterator, Optional, Union
 
@@ -171,6 +172,9 @@ class FlowPattern:
     """
 
     root: PredicateNode
+    #: The canonical encoding, kept once computed or once decoded from
+    #: canonical bytes (`codec.flow_at`).
+    encoded: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         violations = flow_pattern_violations(self.root)
@@ -192,9 +196,11 @@ class FlowPattern:
 
     def canonical_bytes(self) -> bytes:
         """Deterministic byte encoding; equal normalized patterns ⇒ equal bytes."""
-        from .wire.codec import encode_flow_pattern
+        if self.encoded is None:
+            from .wire.codec import encode_flow_pattern
 
-        return encode_flow_pattern(self)
+            object.__setattr__(self, "encoded", encode_flow_pattern(self))
+        return self.encoded
 
 
 def flow_pattern_violations(root: PredicateNode) -> list[str]:
@@ -216,18 +222,35 @@ def flow_pattern_violations(root: PredicateNode) -> list[str]:
 
 
 def _normalize_node(node: PredicateNode) -> PredicateNode:
+    """`node` with its derived constraints first, its parametric leaves in
+    canonical order, then its hierarchy child; `node` itself, and no new
+    node, when it is in that form already."""
     if node.kind is not PredicateKind.HIERARCHY:
         return node
+    children = [c for c in node.children if c.kind is PredicateKind.PARAMETRIC]
+    if len(children) > 1:
+        children.sort(key=_leaf_order)
     hier = node.hierarchy_child()
-    leaves = [c for c in node.leaf_children() if c.kind is not PredicateKind.HIERARCHY_CONSTRAINED]
     if hier is not None:
-        for fid, val in derived_constraints(node.ident, hier.ident):
-            leaves.append(
-                PredicateNode(PredicateKind.HIERARCHY_CONSTRAINED, fid, MatchOp.EQ, val)
-            )
-    leaves.sort(key=lambda c: (c.kind.value, c.ident, c.op.value, operand_text(c.op, c.operand)))
-    children = tuple(leaves) + ((_normalize_node(hier),) if hier is not None else ())
-    return PredicateNode(node.kind, node.ident, children=children)
+        kept = [c for c in node.children if c.kind is PredicateKind.HIERARCHY_CONSTRAINED]
+        pins = [_pin(fid, val, kept) for fid, val in derived_constraints(node.ident, hier.ident)]
+        children = pins + children + [_normalize_node(hier)]
+    if len(children) == len(node.children) and all(map(operator.is_, children, node.children)):
+        return node
+    return PredicateNode(node.kind, node.ident, children=tuple(children))
+
+
+def _leaf_order(leaf: PredicateNode) -> tuple:
+    return (leaf.ident, leaf.op.value, operand_text(leaf.op, leaf.operand))
+
+
+def _pin(ident: str, value: Value, kept: list[PredicateNode]) -> PredicateNode:
+    """The derived constraint `ident == value`: one of `kept` if it is that."""
+    for leaf in kept:
+        if leaf.ident == ident and leaf.op is MatchOp.EQ and _same_type(leaf.operand, value) \
+                and leaf.operand == value:
+            return leaf
+    return PredicateNode(PredicateKind.HIERARCHY_CONSTRAINED, ident, MatchOp.EQ, value)
 
 
 # ---------------------------------------------------------------------------

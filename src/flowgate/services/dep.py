@@ -47,6 +47,9 @@ from .base import ControlServer, Service, log_event, now_ms
 from .config import ServiceConfig
 from .pdp import apply_skew
 
+#: The most capture frames one handler call reads after a frame that asked.
+CAPTURE_BURST = 64
+
 _OPEN_FAILURES = {AuthFailure: "ingress.auth-failure", ReplayFailure: "ingress.replay",
                   StaleTimestampFailure: "ingress.stale-timestamp"}
 
@@ -89,9 +92,11 @@ class DepService(Service):
             self._capture_sock = capture_sock or _bind_udp(
                 cfg.device_capture or ("127.0.0.1", 0), cfg.id, "device-capture"
             )
+        # Access requests the capture handler is collecting, None outside it.
+        self._asking: Optional[list[AccessRequestPattern]] = None
         # Looked up per call, so a wrapper set on the class later (perfbench's tracer) sees them.
         watch = self._server.watch
-        watch(self._capture_sock, lambda *a: self.handle_egress_frame(*a), "egress.handler-error")
+        watch(self._capture_sock, self._on_capture, "egress.handler-error")
         watch(self._data_sock, lambda *a: self.handle_datagram(*a), "ingress.handler-error")
 
     # -- lifecycle -----------------------------------------------------------
@@ -118,6 +123,25 @@ class DepService(Service):
             self._worker.join(timeout=2)
 
     # -- egress -----------------------------------------------------------------
+
+    def _on_capture(self, frame: bytes, now: int) -> None:
+        """The loop's handler of the capture socket.  A frame that queues an
+        access request reads on through the frames already waiting, up to
+        `CAPTURE_BURST`, so that a burst's requests go to the worker as one
+        job and leave in one write.  A frame that hits reads nothing more."""
+        self._asking = asking = []
+        try:
+            self.handle_egress_frame(frame, now)
+            for _ in range(CAPTURE_BURST if asking else 0):
+                try:
+                    frame = self._capture_sock.recv(65535, socket.MSG_DONTWAIT)
+                except OSError:
+                    break  # nothing more waiting
+                self.handle_egress_frame(frame, self.clock())
+        finally:
+            self._asking = None
+            if asking:
+                self._submit(asking)
 
     def handle_egress_frame(self, frame: bytes, now: int) -> None:
         try:
@@ -187,23 +211,26 @@ class DepService(Service):
             return
         pending.last_request_ms = now
         self.metrics.incr("egress.access-request")
-        self._submit(request)
+        if self._asking is not None:
+            self._asking.append(request)
+        else:
+            self._submit([request])
 
     def _submit(self, job) -> None:
-        """Queue an access request, or a callable, for the worker."""
+        """Queue a list of access requests, or a callable, for the worker."""
         self._jobs.put(job)
         if self._worker.ident is None:
             # Started on first use: a DEP driven through its handlers without start() still sends.
             self._worker.start()
 
     def _work(self) -> None:
-        """Run queued jobs in order until stop() queues None.  Access
-        requests queued back to back leave in one write."""
+        """Run queued jobs in order until stop() queues None.  Lists of
+        access requests queued back to back leave in one write."""
         batch: list[AccessRequestPattern] = []
         while True:
             job = self._jobs.get()
-            if isinstance(job, AccessRequestPattern):
-                batch.append(job)
+            if isinstance(job, list):
+                batch.extend(job)
                 if not self._jobs.empty():
                     continue
             if batch:  # before the job behind it, which may block

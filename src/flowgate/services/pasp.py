@@ -12,12 +12,13 @@ loads them, and afterwards only the loop's handlers change them.
 from __future__ import annotations
 
 import os
+import struct
 import time
 from typing import Callable
 
 from ..errors import TransportError
 from ..policy import Policy, validate_policy
-from ..wire.codec import Reader, Writer, read_policy, write_policy
+from ..wire.codec import Writer, decode_whole, items_at, policy_at, write_policy
 from ..wire.messages import (
     CrudOp,
     CrudStatus,
@@ -173,13 +174,10 @@ class PaspService(Service):
             return
         with open(path, "rb") as fp:
             data = fp.read()
-        r = Reader(data)
-        self._revision = r.u64()
-        count = r.u16()
-        for _ in range(count):
-            policy = read_policy(r)
+        self._revision, policies = decode_whole(_store_at, data)
+        for policy in policies:
             self._policies[policy.id] = policy
-        log_event(self.logger, "store-loaded", policies=count, revision=self._revision)
+        log_event(self.logger, "store-loaded", policies=len(policies), revision=self._revision)
 
     def _persist(self) -> None:
         path = self.cfg.store_file
@@ -194,3 +192,10 @@ class PaspService(Service):
         with open(tmp, "wb") as fp:
             fp.write(w.getvalue())
         os.replace(tmp, path)
+
+
+def _store_at(data: bytes, pos: int) -> tuple[tuple[int, list[Policy]], int]:
+    """The store file: a u64 revision, then the policies as `_persist` writes them."""
+    (revision,) = struct.unpack_from(">Q", data, pos)
+    policies, pos = items_at(policy_at, data, pos + 8)
+    return (revision, policies), pos

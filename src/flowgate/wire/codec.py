@@ -6,12 +6,18 @@ encode to identical bytes, which the rest of the system relies on for store
 keys, authentication tags, and golden fixtures.  Decoding is total: any
 input either yields a value or raises a typed DecodeError, never an
 uncontrolled exception.
+
+Each decoder `*_at(data, pos)` reads one value at offset `pos` of `data` and
+returns it with the offset just past it.  A fixed-size field cut short raises
+`struct.error` or `IndexError` there, which `decode_whole`, the entry point,
+turns into TruncatedBufferError.
 """
 
 from __future__ import annotations
 
 import struct
 
+from ..decisions import AccessDecision
 from ..errors import FlowgateError
 from ..patterns import (
     AccessRequestPattern,
@@ -61,7 +67,6 @@ class MalformedFieldError(DecodeError):
 
 
 MAX_BODY_LEN = 2**24 - 1
-_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
 class Writer:
@@ -72,32 +77,27 @@ class Writer:
         self._parts.append(v.to_bytes(1, "big"))
         return self
 
-    def u16(self, v: int) -> "Writer":
-        if not 0 <= v < 2**16:
-            raise EncodeError(f"u16 out of range: {v}")
-        self._parts.append(v.to_bytes(2, "big"))
+    def _int(self, v: int, size: int, signed: bool = False) -> "Writer":
+        try:
+            self._parts.append(v.to_bytes(size, "big", signed=signed))
+        except OverflowError:
+            raise EncodeError(f"{'i' if signed else 'u'}{8 * size} out of range: {v}") from None
         return self
+
+    def u16(self, v: int) -> "Writer":
+        return self._int(v, 2)
 
     def u32(self, v: int) -> "Writer":
-        if not 0 <= v < 2**32:
-            raise EncodeError(f"u32 out of range: {v}")
-        self._parts.append(v.to_bytes(4, "big"))
-        return self
+        return self._int(v, 4)
 
     def u64(self, v: int) -> "Writer":
-        if not 0 <= v < 2**64:
-            raise EncodeError(f"u64 out of range: {v}")
-        self._parts.append(v.to_bytes(8, "big"))
-        return self
+        return self._int(v, 8)
 
     def i64(self, v: int) -> "Writer":
-        if not _I64_MIN <= v <= _I64_MAX:
-            raise EncodeError(f"i64 out of range: {v}")
-        self._parts.append(v.to_bytes(8, "big", signed=True))
-        return self
+        return self._int(v, 8, signed=True)
 
     def f64(self, v: float) -> "Writer":
-        self._parts.append(struct.pack(">d", v))
+        self._parts.append(_F64.pack(v))
         return self
 
     def raw(self, data: bytes) -> "Writer":
@@ -105,14 +105,10 @@ class Writer:
         return self
 
     def bytes_u16(self, data: bytes) -> "Writer":
-        self.u16(len(data))
-        self._parts.append(data)
-        return self
+        return self.u16(len(data)).raw(data)
 
     def bytes_u32(self, data: bytes) -> "Writer":
-        self.u32(len(data))
-        self._parts.append(data)
-        return self
+        return self.u32(len(data)).raw(data)
 
     def text(self, s: str) -> "Writer":
         return self.bytes_u16(s.encode("utf-8"))
@@ -121,64 +117,46 @@ class Writer:
         return b"".join(self._parts)
 
 
-class Reader:
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
+_U16 = struct.Struct(">H")
+_U64 = struct.Struct(">Q")
+_I64 = struct.Struct(">q")
+_I64_PAIR = struct.Struct(">qq")
+_U64_PAIR = struct.Struct(">QQ")
+_F64 = struct.Struct(">d")
 
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise TruncatedBufferError(
-                f"need {n} bytes at offset {self._pos}, have {len(self._data) - self._pos}"
-            )
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
 
-    def u8(self) -> int:
-        return self._take(1)[0]
+def decode_whole(read, data: bytes):
+    """The value `read(data, 0)` decodes; it must end exactly where `data` does."""
+    try:
+        value, pos = read(data, 0)
+    except (struct.error, IndexError):
+        raise TruncatedBufferError(f"input of {len(data)} bytes ends inside a field") from None
+    if pos != len(data):
+        raise LengthOverrunError(f"{len(data) - pos} unconsumed trailing bytes")
+    return value
 
-    def u16(self) -> int:
-        return int.from_bytes(self._take(2), "big")
 
-    def u32(self) -> int:
-        return int.from_bytes(self._take(4), "big")
+def text_at(data: bytes, pos: int) -> tuple[str, int]:
+    (n,) = _U16.unpack_from(data, pos)
+    pos += 2
+    end = pos + n
+    if end > len(data):
+        raise LengthOverrunError(f"declared length {n} exceeds remaining {len(data) - pos} bytes")
+    try:
+        return data[pos:end].decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise MalformedFieldError(f"invalid utf-8: {exc}") from None
 
-    def u64(self) -> int:
-        return int.from_bytes(self._take(8), "big")
 
-    def i64(self) -> int:
-        return int.from_bytes(self._take(8), "big", signed=True)
-
-    def f64(self) -> float:
-        return struct.unpack(">d", self._take(8))[0]
-
-    def _counted(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise LengthOverrunError(
-                f"declared length {n} exceeds remaining {len(self._data) - self._pos} bytes"
-            )
-        return self._take(n)
-
-    def bytes_u16(self) -> bytes:
-        return self._counted(self.u16())
-
-    def bytes_u32(self) -> bytes:
-        return self._counted(self.u32())
-
-    def text(self) -> str:
-        raw = self.bytes_u16()
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedFieldError(f"invalid utf-8: {exc}") from None
-
-    def remaining(self) -> int:
-        return len(self._data) - self._pos
-
-    def expect_end(self) -> None:
-        if self.remaining():
-            raise LengthOverrunError(f"{self.remaining()} unconsumed trailing bytes")
+def items_at(read, data: bytes, pos: int) -> tuple[list, int]:
+    """A u16 count, then that many values `read` decodes."""
+    (n,) = _U16.unpack_from(data, pos)
+    pos += 2
+    out = []
+    for _ in range(n):
+        item, pos = read(data, pos)
+        out.append(item)
+    return out, pos
 
 
 # --- scalar values ----------------------------------------------------------
@@ -199,19 +177,19 @@ def write_value(w: Writer, v) -> None:
         raise EncodeError(f"unencodable value type {type(v).__name__}")
 
 
-def read_value(r: Reader):
-    tag = r.u8()
-    if tag == _VT_BOOL:
-        b = r.u8()
-        if b not in (0, 1):
-            raise MalformedFieldError(f"bool byte {b}")
-        return b == 1
+def value_at(data: bytes, pos: int):
+    tag = data[pos]
     if tag == _VT_INT:
-        return r.i64()
-    if tag == _VT_FLOAT:
-        return r.f64()
+        return _I64.unpack_from(data, pos + 1)[0], pos + 9
     if tag == _VT_STR:
-        return r.text()
+        return text_at(data, pos + 1)
+    if tag == _VT_BOOL:
+        b = data[pos + 1]
+        if b > 1:
+            raise MalformedFieldError(f"bool byte {b}")
+        return b == 1, pos + 2
+    if tag == _VT_FLOAT:
+        return _F64.unpack_from(data, pos + 1)[0], pos + 9
     raise MalformedFieldError(f"unknown value tag {tag}")
 
 
@@ -250,24 +228,24 @@ def _write_operand(w: Writer, op: MatchOp, operand) -> None:
         w.i64(lo).i64(hi)
 
 
-def _read_operand(r: Reader) -> tuple[MatchOp, object]:
-    code = r.u8()
+def _operand_at(data: bytes, pos: int) -> tuple[MatchOp, object, int]:
+    code = data[pos]
     op = _OP_FROM.get(code)
     if op is None:
         raise MalformedFieldError(f"unknown match operator {code}")
     if op is MatchOp.EQ:
-        return op, read_value(r)
+        return (op, *value_at(data, pos + 1))
     if op is MatchOp.IN_SET:
-        n = r.u16()
-        if n == 0:
+        members, end = items_at(value_at, data, pos + 1)
+        if not members:
             raise MalformedFieldError("empty in-set operand")
-        return op, frozenset(read_value(r) for _ in range(n))
+        return op, frozenset(members), end
     if op is MatchOp.PREFIX:
-        return op, r.text()
-    lo, hi = r.i64(), r.i64()
+        return (op, *text_at(data, pos + 1))
+    lo, hi = _I64_PAIR.unpack_from(data, pos + 1)
     if lo > hi:
         raise MalformedFieldError("range operand with lo > hi")
-    return op, (lo, hi)
+    return op, (lo, hi), pos + 17
 
 
 def _write_flow_node(w: Writer, node: PredicateNode) -> None:
@@ -279,40 +257,54 @@ def _write_flow_node(w: Writer, node: PredicateNode) -> None:
         _write_flow_node(w, child)
 
 
-def _read_flow_node(r: Reader, depth: int = 0) -> PredicateNode:
+def _flow_node_at(data: bytes, pos: int, depth: int, recoded: list) -> tuple[PredicateNode, int]:
+    """One node and its subtree; an in-set operand that would encode otherwise
+    than it was read (out of order, or with repeats) goes to `recoded`."""
     if depth > 32:
         raise MalformedFieldError("pattern nesting too deep")
-    kind = _KIND_FROM.get(r.u8())
+    kind = _KIND_FROM.get(data[pos])
     if kind is None:
         raise MalformedFieldError("unknown predicate kind")
-    ident = r.text()
+    ident, pos = text_at(data, pos + 1)
     op = operand = None
     if kind is not PredicateKind.HIERARCHY:
-        op, operand = _read_operand(r)
-    n = r.u16()
-    children = tuple(_read_flow_node(r, depth + 1) for _ in range(n))
+        start = pos
+        op, operand, pos = _operand_at(data, pos)
+        if op is MatchOp.IN_SET and _operand_bytes(op, operand) != data[start:pos]:
+            recoded.append(operand)
+    children, pos = items_at(lambda data, pos: _flow_node_at(data, pos, depth + 1, recoded),
+                             data, pos)
     try:
-        return PredicateNode(kind, ident, op, operand, children)
+        return PredicateNode(kind, ident, op, operand, tuple(children)), pos
     except FlowgateError as exc:
         raise MalformedFieldError(str(exc)) from None
 
 
-def encode_flow_pattern(flow: FlowPattern) -> bytes:
+def _operand_bytes(op: MatchOp, operand) -> bytes:
     w = Writer()
-    write_flow_pattern(w, flow)
+    _write_operand(w, op, operand)
     return w.getvalue()
 
 
-def write_flow_pattern(w: Writer, flow: FlowPattern) -> None:
+def encode_flow_pattern(flow: FlowPattern) -> bytes:
+    """Encodes the tree; `FlowPattern.canonical_bytes` keeps the result."""
+    w = Writer()
     _write_flow_node(w, flow.root)
+    return w.getvalue()
 
 
-def read_flow_pattern(r: Reader) -> FlowPattern:
-    root = _read_flow_node(r)
+def flow_at(data: bytes, pos: int) -> tuple[FlowPattern, int]:
+    """A flow pattern, which keeps the bytes it was read from when they are
+    its canonical encoding: normalization left its tree as read."""
+    start, recoded = pos, []
+    root, pos = _flow_node_at(data, pos, 0, recoded)
     try:
-        return FlowPattern(root)
+        flow = FlowPattern(root)
     except FlowgateError as exc:
         raise MalformedFieldError(str(exc)) from None
+    if flow.root is root and not recoded:
+        object.__setattr__(flow, "encoded", data[start:pos])
+    return flow, pos
 
 
 # --- request patterns -------------------------------------------------------
@@ -331,29 +323,38 @@ def _write_request_node(w: Writer, node: RequestNode) -> None:
         _write_request_node(w, node.child)
 
 
-def _read_request_node(r: Reader, depth: int = 0) -> RequestNode:
+def _request_node_at(data: bytes, pos: int, depth: int = 0) -> tuple[RequestNode, int]:
     if depth > 32:
         raise MalformedFieldError("request nesting too deep")
-    layer = r.text()
-    n = r.u16()
+    layer, pos = text_at(data, pos)
+    (n,) = _U16.unpack_from(data, pos)
+    pos += 2
     facts = []
     for _ in range(n):
-        facts.append((r.text(), read_value(r)))
+        fid, pos = text_at(data, pos)
+        value, pos = value_at(data, pos)
+        facts.append((fid, value))
+    flag = data[pos]
+    pos += 1
     child = None
-    flag = r.u8()
     if flag == 1:
-        child = _read_request_node(r, depth + 1)
+        child, pos = _request_node_at(data, pos, depth + 1)
     elif flag != 0:
         raise MalformedFieldError(f"bad child flag {flag}")
-    return RequestNode(layer, tuple(sorted(facts)), child)
+    try:
+        facts.sort()
+    except TypeError:  # one field twice, with values that do not order
+        raise MalformedFieldError(f"repeated field in layer {layer!r}") from None
+    return RequestNode(layer, tuple(facts), child), pos
 
 
 def write_request_pattern(w: Writer, req: AccessRequestPattern) -> None:
     _write_request_node(w, req.root)
 
 
-def read_request_pattern(r: Reader) -> AccessRequestPattern:
-    return AccessRequestPattern(_read_request_node(r))
+def request_at(data: bytes, pos: int) -> tuple[AccessRequestPattern, int]:
+    root, pos = _request_node_at(data, pos)
+    return AccessRequestPattern(root), pos
 
 
 # --- policies and preconditions ---------------------------------------------
@@ -383,36 +384,39 @@ def write_predicate(w: Writer, pred: AuxiliaryPredicate) -> None:
             write_value(w, c.value)
 
 
-def read_predicate(r: Reader) -> AuxiliaryPredicate:
-    pid = r.text()
-    nterms = r.u16()
-    terms = []
-    for _ in range(nterms):
-        source = r.text()
-        negated = r.u8()
-        if negated not in (0, 1):
-            raise MalformedFieldError(f"bad negation flag {negated}")
-        ncmp = r.u16()
-        comparisons = []
-        for _ in range(ncmp):
-            key = r.text()
-            op = _CMP_FROM.get(r.u8())
-            if op is None:
-                raise MalformedFieldError("unknown comparison operator")
-            comparisons.append(Comparison(key, op, read_value(r)))
-        try:
-            terms.append(Term(source, negated == 1, tuple(comparisons)))
-        except FlowgateError as exc:
-            raise MalformedFieldError(str(exc)) from None
+def _predicate_at(data: bytes, pos: int) -> tuple[AuxiliaryPredicate, int]:
+    pid, pos = text_at(data, pos)
+    terms, pos = items_at(_term_at, data, pos)
     try:
-        return AuxiliaryPredicate(pid, tuple(terms))
+        return AuxiliaryPredicate(pid, tuple(terms)), pos
     except FlowgateError as exc:
         raise MalformedFieldError(str(exc)) from None
 
 
+def _term_at(data: bytes, pos: int) -> tuple[Term, int]:
+    source, pos = text_at(data, pos)
+    negated = data[pos]
+    if negated > 1:
+        raise MalformedFieldError(f"bad negation flag {negated}")
+    comparisons, pos = items_at(_comparison_at, data, pos + 1)
+    try:
+        return Term(source, negated == 1, tuple(comparisons)), pos
+    except FlowgateError as exc:
+        raise MalformedFieldError(str(exc)) from None
+
+
+def _comparison_at(data: bytes, pos: int) -> tuple[Comparison, int]:
+    key, pos = text_at(data, pos)
+    op = _CMP_FROM.get(data[pos])
+    if op is None:
+        raise MalformedFieldError("unknown comparison operator")
+    value, pos = value_at(data, pos + 1)
+    return Comparison(key, op, value), pos
+
+
 def write_policy(w: Writer, policy: Policy) -> None:
     w.text(policy.id).u8(_ACTION_CODE[policy.action])
-    write_flow_pattern(w, policy.flow)
+    w.raw(policy.flow.canonical_bytes())
     preds = sorted(policy.auxiliary, key=lambda p: p.id)
     w.u16(len(preds))
     for pred in preds:
@@ -424,16 +428,16 @@ def write_policy(w: Writer, policy: Policy) -> None:
         w.text(dep)
 
 
-def read_policy(r: Reader) -> Policy:
-    pid = r.text()
-    action = _ACTION_FROM.get(r.u8())
+def policy_at(data: bytes, pos: int) -> tuple[Policy, int]:
+    pid, pos = text_at(data, pos)
+    action = _ACTION_FROM.get(data[pos])
     if action is None:
         raise MalformedFieldError("unknown action code")
-    flow = read_flow_pattern(r)
-    preds = frozenset(read_predicate(r) for _ in range(r.u16()))
-    static_max_validity = r.u64()
-    hops = frozenset(r.text() for _ in range(r.u16()))
-    return Policy(pid, action, flow, preds, static_max_validity, hops)
+    flow, pos = flow_at(data, pos + 1)
+    preds, pos = items_at(_predicate_at, data, pos)
+    (static_max_validity,) = _U64.unpack_from(data, pos)
+    hops, pos = items_at(text_at, data, pos + 8)
+    return Policy(pid, action, flow, frozenset(preds), static_max_validity, frozenset(hops)), pos
 
 
 def encode_policy(policy: Policy) -> bytes:
@@ -443,10 +447,7 @@ def encode_policy(policy: Policy) -> bytes:
 
 
 def decode_policy(data: bytes) -> Policy:
-    r = Reader(data)
-    policy = read_policy(r)
-    r.expect_end()
-    return policy
+    return decode_whole(policy_at, data)
 
 
 # --- bindings and decisions --------------------------------------------------
@@ -458,18 +459,18 @@ def write_binding(w: Writer, b: AttributeBinding) -> None:
     w.u64(b.valid_from).u64(b.valid_until)
 
 
-def read_binding(r: Reader) -> AttributeBinding:
-    key = r.text()
-    value = read_value(r)
-    valid_from, valid_until = r.u64(), r.u64()
+def binding_at(data: bytes, pos: int) -> tuple[AttributeBinding, int]:
+    key, pos = text_at(data, pos)
+    value, pos = value_at(data, pos)
+    valid_from, valid_until = _U64_PAIR.unpack_from(data, pos)
     try:
-        return AttributeBinding(key, value, valid_from, valid_until)
+        return AttributeBinding(key, value, valid_from, valid_until), pos + 16
     except FlowgateError as exc:
         raise MalformedFieldError(str(exc)) from None
 
 
 def write_decision(w: Writer, d) -> None:
-    flows = sorted(encode_flow_pattern(f) for f in d.flows)  # each encoded once
+    flows = sorted(f.canonical_bytes() for f in d.flows)
     w.u16(len(flows))
     for f in flows:
         w.raw(f)
@@ -485,20 +486,19 @@ def write_decision(w: Writer, d) -> None:
         w.text(pid)
 
 
-def read_decision(r: Reader):
-    from ..decisions import AccessDecision
-
-    nflows = r.u16()
+def decision_at(data: bytes, pos: int) -> tuple[AccessDecision, int]:
+    (nflows,) = _U16.unpack_from(data, pos)
     if nflows == 0:
         raise MalformedFieldError("decision without flows")
-    flows = tuple(read_flow_pattern(r) for _ in range(nflows))
-    action = _ACTION_FROM.get(r.u8())
+    flows, pos = items_at(flow_at, data, pos)
+    action = _ACTION_FROM.get(data[pos])
     if action is None:
         raise MalformedFieldError("unknown action code")
-    nexthop = frozenset(r.text() for _ in range(r.u16()))
-    valid_from, valid_until = r.u64(), r.u64()
-    origins = frozenset(r.text() for _ in range(r.u16()))
+    nexthop, pos = items_at(text_at, data, pos + 1)
+    valid_from, valid_until = _U64_PAIR.unpack_from(data, pos)
+    origins, pos = items_at(text_at, data, pos + 16)
     try:
-        return AccessDecision(flows, action, nexthop, valid_from, valid_until, origins)
+        return AccessDecision(tuple(flows), action, frozenset(nexthop), valid_from, valid_until,
+                              frozenset(origins)), pos
     except FlowgateError as exc:
         raise MalformedFieldError(str(exc)) from None

@@ -32,19 +32,20 @@ from .codec import (
     EncodeError,
     LengthOverrunError,
     MalformedFieldError,
-    Reader,
     TruncatedBufferError,
     UnknownMessageTypeError,
     UnknownVersionError,
     Writer,
-    read_binding,
-    read_decision,
-    read_flow_pattern,
-    read_policy,
-    read_request_pattern,
+    binding_at,
+    decision_at,
+    decode_whole,
+    flow_at,
+    items_at,
+    policy_at,
+    request_at,
+    text_at,
     write_binding,
     write_decision,
-    write_flow_pattern,
     write_policy,
     write_request_pattern,
 )
@@ -55,6 +56,7 @@ _HEAD = struct.Struct(">BBH")  # version, msg-type, sender-id length: 4 bytes
 _STAMP = struct.Struct(">QQI")  # sequence, timestamp, body length: 20 bytes
 _TAIL = struct.Struct(">BH")  # scheme, auth-tag length: 3 bytes
 _FRAME_LEN = struct.Struct(">I")  # a payload exchange body: this, then the frame
+_REVISION = struct.Struct(">Q")
 
 
 class AuthScheme(Enum):
@@ -222,13 +224,13 @@ def _write_optional_policy(w: Writer, policy: Optional[Policy]) -> None:
         write_policy(w, policy)
 
 
-def _read_optional_policy(r: Reader) -> Optional[Policy]:
-    flag = r.u8()
+def _optional_policy_at(data: bytes, pos: int) -> tuple[Optional[Policy], int]:
+    flag = data[pos]
     if flag == 0:
-        return None
+        return None, pos + 1
     if flag != 1:
         raise MalformedFieldError(f"bad presence flag {flag}")
-    return read_policy(r)
+    return policy_at(data, pos + 1)
 
 
 def _write_decisions(w: Writer, decisions: tuple[AccessDecision, ...]) -> None:
@@ -237,19 +239,17 @@ def _write_decisions(w: Writer, decisions: tuple[AccessDecision, ...]) -> None:
         write_decision(w, d)
 
 
-def _read_decisions(r: Reader) -> tuple[AccessDecision, ...]:
-    return tuple(read_decision(r) for _ in range(r.u16()))
-
-
 _CRUD_CODE = {CrudOp.CREATE: 0, CrudOp.READ: 1, CrudOp.UPDATE: 2, CrudOp.DELETE: 3}
 _CRUD_FROM = {v: k for k, v in _CRUD_CODE.items()}
 
 
-def _read_crud_op(r: Reader) -> CrudOp:
-    op = _CRUD_FROM.get(r.u8())
+def _change_at(data: bytes, pos: int) -> tuple[tuple[CrudOp, str, Optional[Policy]], int]:
+    op = _CRUD_FROM.get(data[pos])
     if op is None:
         raise MalformedFieldError("unknown CRUD op")
-    return op
+    pid, pos = text_at(data, pos + 1)
+    policy, pos = _optional_policy_at(data, pos)
+    return (op, pid, policy), pos
 
 
 def encode_body(body: MessageBody) -> bytes:
@@ -294,7 +294,7 @@ def encode_body(body: MessageBody) -> bytes:
     elif isinstance(body, SessionInitialization):
         _write_decisions(w, body.decisions)
     elif isinstance(body, AccessVerificationRequest):
-        write_flow_pattern(w, body.flow)
+        w.raw(body.flow.canonical_bytes())
     elif isinstance(body, AccessVerificationResponse):
         _write_decisions(w, body.decisions)
     else:
@@ -309,47 +309,50 @@ def decode_body(msg_type: MessageType, data: bytes) -> MessageBody:
         if _FRAME_LEN.unpack_from(data)[0] != len(data) - 4:
             raise LengthOverrunError(f"declared frame length does not fill the {len(data)}-byte body")
         return PayloadExchangeRequest(data[4:])
-    r = Reader(data)
-    body: MessageBody
+    return decode_whole(lambda data, pos: _body_at(msg_type, data, pos), data)
+
+
+def _body_at(msg_type: MessageType, data: bytes, pos: int) -> tuple[MessageBody, int]:
+    if msg_type is MessageType.SESSION_INITIALIZATION:
+        decisions, pos = items_at(decision_at, data, pos)
+        return SessionInitialization(tuple(decisions)), pos
+    if msg_type is MessageType.ACCESS_REQUEST:
+        request, pos = request_at(data, pos)
+        return AccessRequest(request), pos
     if msg_type is MessageType.POLICY_CRUD_REQUEST:
-        body = PolicyCrudRequest(_read_crud_op(r), r.text(), _read_optional_policy(r))
-    elif msg_type is MessageType.POLICY_CRUD_RESPONSE:
-        code = r.u8()
+        (op, pid, policy), pos = _change_at(data, pos)
+        return PolicyCrudRequest(op, pid, policy), pos
+    if msg_type is MessageType.POLICY_CRUD_RESPONSE:
+        code = data[pos]
         try:
             status = CrudStatus(code)
         except ValueError:
             raise MalformedFieldError(f"unknown CRUD status {code}") from None
-        policy = _read_optional_policy(r)
-        violations = tuple(r.text() for _ in range(r.u16()))
-        body = PolicyCrudResponse(status, policy, violations)
-    elif msg_type is MessageType.POLICY_EXCHANGE_INCREMENTAL:
-        changes = tuple(
-            (_read_crud_op(r), r.text(), _read_optional_policy(r)) for _ in range(r.u16())
-        )
-        body = PolicyExchangeIncremental(changes, r.u64())
-    elif msg_type is MessageType.POLICY_EXCHANGE_REQUEST:
-        body = PolicyExchangeRequest()
-    elif msg_type is MessageType.POLICY_EXCHANGE_COMPLETE:
-        policies = tuple(read_policy(r) for _ in range(r.u16()))
-        body = PolicyExchangeComplete(policies, r.u64())
-    elif msg_type is MessageType.ATTRIBUTE_REQUEST:
-        body = AttributeRequest(tuple(r.text() for _ in range(r.u16())))
-    elif msg_type is MessageType.ATTRIBUTE_RESOLUTION:
-        bindings = tuple(read_binding(r) for _ in range(r.u16()))
-        unknown = tuple(r.text() for _ in range(r.u16()))
-        body = AttributeResolution(bindings, unknown)
-    elif msg_type is MessageType.ACCESS_REQUEST:
-        body = AccessRequest(read_request_pattern(r))
-    elif msg_type is MessageType.SESSION_INITIALIZATION:
-        body = SessionInitialization(_read_decisions(r))
-    elif msg_type is MessageType.ACCESS_VERIFICATION_REQUEST:
-        body = AccessVerificationRequest(read_flow_pattern(r))
-    elif msg_type is MessageType.ACCESS_VERIFICATION_RESPONSE:
-        body = AccessVerificationResponse(_read_decisions(r))
-    else:  # pragma: no cover - enum is closed
-        raise UnknownMessageTypeError(str(msg_type))
-    r.expect_end()
-    return body
+        policy, pos = _optional_policy_at(data, pos + 1)
+        violations, pos = items_at(text_at, data, pos)
+        return PolicyCrudResponse(status, policy, tuple(violations)), pos
+    if msg_type is MessageType.POLICY_EXCHANGE_INCREMENTAL:
+        changes, pos = items_at(_change_at, data, pos)
+        return PolicyExchangeIncremental(tuple(changes), _REVISION.unpack_from(data, pos)[0]), pos + 8
+    if msg_type is MessageType.POLICY_EXCHANGE_REQUEST:
+        return PolicyExchangeRequest(), pos
+    if msg_type is MessageType.POLICY_EXCHANGE_COMPLETE:
+        policies, pos = items_at(policy_at, data, pos)
+        return PolicyExchangeComplete(tuple(policies), _REVISION.unpack_from(data, pos)[0]), pos + 8
+    if msg_type is MessageType.ATTRIBUTE_REQUEST:
+        keys, pos = items_at(text_at, data, pos)
+        return AttributeRequest(tuple(keys)), pos
+    if msg_type is MessageType.ATTRIBUTE_RESOLUTION:
+        bindings, pos = items_at(binding_at, data, pos)
+        unknown, pos = items_at(text_at, data, pos)
+        return AttributeResolution(tuple(bindings), tuple(unknown)), pos
+    if msg_type is MessageType.ACCESS_VERIFICATION_REQUEST:
+        flow, pos = flow_at(data, pos)
+        return AccessVerificationRequest(flow), pos
+    if msg_type is MessageType.ACCESS_VERIFICATION_RESPONSE:
+        decisions, pos = items_at(decision_at, data, pos)
+        return AccessVerificationResponse(tuple(decisions)), pos
+    raise UnknownMessageTypeError(str(msg_type))  # pragma: no cover - enum is closed
 
 
 # --- envelope codec -----------------------------------------------------------

@@ -1354,7 +1354,7 @@ class TestDepAccessRequests:
 
         channel.write = counted
         for port in ports:
-            service._jobs.put(dissect(_udp_to(port)))
+            service._jobs.put([dissect(_udp_to(port))])
         service._jobs.put(None)
         service._work()
         return writes
@@ -1381,6 +1381,41 @@ class TestDepAccessRequests:
         assert [e.sequence for e in opened] == sorted(e.sequence for e in opened)
         assert [_dstport(e.body.request) for e in opened] == list(ports)
         assert service.metrics.get("egress.request-failed") == 0
+
+    def test_a_burst_waiting_at_the_capture_socket_asks_in_one_write(self):
+        opened = []
+        server = ControlServer("pdp-1", ("127.0.0.1", 0), InboundGate(NOOP, 60_000),
+                               lambda env, reply: opened.append(env), EnvelopeFactory("pdp-1", NOOP),
+                               Metrics(), logging.getLogger("test"))
+        server.start()
+        catcher, deliver = UdpCatcher(), UdpCatcher()
+        service = make_dep(catcher, deliver, type("Pdp", (), {"address": server.address}))
+        channel = service.factory.channel(*service.cfg.pdp)
+        writes, write = [], channel.write
+
+        def counted(envs, *args):
+            writes.append(len(envs))
+            return write(envs, *args)
+
+        channel.write = counted
+        ports, release = range(41000, 41010), threading.Event()
+        try:
+            service.start()
+            service._server.post(release.wait)  # holds the loop while the burst arrives
+            for port in ports:
+                deliver.sock.sendto(_udp_to(port), service.capture_address)
+            release.set()
+            _wait_until(lambda: len(opened) == len(ports), 5)
+        finally:
+            release.set()
+            service.stop()
+            server.stop()
+            catcher.close()
+            deliver.close()
+        assert writes == [len(ports)]
+        assert [_dstport(e.body.request) for e in opened] == list(ports)
+        assert service.metrics.get("egress.access-request") == len(ports)
+        assert service.metrics.get("egress.buffered") == len(ports)
 
     def test_a_failed_batch_counts_each_of_its_requests(self):
         address, _ = _refusing_address()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from flowgate.decisions import AccessDecision
 from flowgate.errors import TransportError
+from flowgate.frames import dissect, udp_frame
 from flowgate.policy import Action
 from flowgate.pattern_text import parse_pattern
 from flowgate.wire.auth import AuthScheme, NoopAuthenticator, seal
@@ -26,23 +27,52 @@ from flowgate.wire.codec import (
 )
 from flowgate.wire.messages import (
     MAX_BODY_LEN,
+    AccessRequest,
     AttributeRequest,
     MessageType,
     PayloadExchangeRequest,
+    PolicyExchangeComplete,
     ProtocolEnvelope,
+    SessionInitialization,
     decode_body,
     decode_envelope,
     encode_body,
     encode_envelope,
 )
 from flowgate.wire.transport import recv_frame
-from wire_fixtures import GOLDEN_DIR, golden_envelopes
+from wire_fixtures import GOLDEN_DIR, _policy, golden_envelopes
 
 NOOP = NoopAuthenticator()
 
 
 def sealed(body, sender="tester", seq=1, ts=1_700_000_000_000):
     return seal(ProtocolEnvelope(sender, seq, ts, body), NOOP, "peer")
+
+
+def _burst_init() -> SessionInitialization:
+    """A burst's session initialization: 10 grants, one per new flow."""
+    now = 1_700_000_000_000
+    return SessionInitialization(tuple(
+        AccessDecision((parse_pattern(f"eth {{ ipv4 {{ udp {{ dstport == {port} }} }} }}"),),
+                       Action.GRANT, frozenset({"dep-b"}), now, now + 60_000,
+                       frozenset({f"grant-{port}"}))
+        for port in range(41000, 41010)
+    ))
+
+
+#: Control bodies whose decoders the corruption tests run, beside each test's own.
+CONTROL_BODIES = {
+    "session-init-x10": _burst_init(),
+    "access-request": AccessRequest(dissect(udp_frame(
+        "02:00:00:00:00:01", "02:00:00:00:00:02", "10.0.0.1", "10.0.0.2", 40000, 41000, b"x"))),
+    "policy-exchange-complete": PolicyExchangeComplete((_policy(), _policy("sv-meter")), 7),
+}
+
+
+def corrupted_bodies(own):
+    """Parameters: a test's own body first, then each of `CONTROL_BODIES`."""
+    return pytest.mark.parametrize("body", [own, *CONTROL_BODIES.values()],
+                                   ids=["attribute-request", *CONTROL_BODIES])
 
 
 class TestEnvelopeRoundTrip:
@@ -139,8 +169,9 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError):
             decode_envelope(raw + b"\x00")
 
-    def test_truncations_of_a_valid_envelope(self):
-        raw = encode_envelope(sealed(AttributeRequest(("mode", "load"))))
+    @corrupted_bodies(AttributeRequest(("mode", "load")))
+    def test_truncations_of_a_valid_envelope(self, body):
+        raw = encode_envelope(sealed(body))
         for cut in range(len(raw)):
             with pytest.raises(DecodeError):
                 decode_envelope(raw[:cut])
@@ -164,8 +195,9 @@ class TestDecodeErrors:
         except DecodeError:
             pass  # only the typed failure is allowed
 
-    def test_mutations_never_crash(self, rng):
-        raw = bytearray(encode_envelope(sealed(AttributeRequest(("mode",)))))
+    @corrupted_bodies(AttributeRequest(("mode",)))
+    def test_mutations_never_crash(self, rng, body):
+        raw = bytearray(encode_envelope(sealed(body)))
         for _ in range(3000):
             mutated = bytearray(raw)
             for _ in range(rng.randint(1, 4)):

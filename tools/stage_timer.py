@@ -8,6 +8,12 @@ tracer, so the numbers carry little of the noise an end-to-end run has.
 verdict, deliver) of datagrams dep-b sealed; each call needs a fresh
 sequence number, so a batch is sealed before each repeat, outside the timing.
 
+The control messages of a burst's handshake are timed too: `decode init x10`
+and `encode init x10` take a session initialization of the burst's 10 grants
+apart and put it together, as each DEP and the PDP do, and `decode access
+request` decodes one of the burst's access requests.  The run fails when a
+decoded message differs from the one encoded.
+
 The DEP side of an authorization handshake is timed as well: `burst install
 1x10` installs one session initialization of 10 grants at a DEP holding one
 buffered frame in each of the 10 pending flows they decide, and drains them;
@@ -45,7 +51,7 @@ from flowgate.services.config import DepRegistryEntry, ServiceConfig  # noqa: E4
 from flowgate.services.dep import DepService, _Pending  # noqa: E402
 from flowgate.wire import messages  # noqa: E402
 from flowgate.wire.auth import NoopAuthenticator  # noqa: E402
-from flowgate.wire.messages import PayloadExchangeRequest  # noqa: E402
+from flowgate.wire.messages import AccessRequest, PayloadExchangeRequest, SessionInitialization  # noqa: E402
 
 FRAME = goose_frame("02:00:00:00:00:01", "01:0c:cd:01:00:01", 5, b"t", pad_to=60)
 FLOW = "eth { goose { appid == 5 } }"
@@ -85,11 +91,37 @@ def build_dep(peer: socket.socket, device: socket.socket) -> DepService:
     return dep
 
 
+def burst_grants(now: int) -> tuple[AccessDecision, ...]:
+    """One grant per flow of a burst, each from its own policy."""
+    return tuple(
+        AccessDecision((parse_pattern(f"eth {{ ipv4 {{ udp {{ dstport == {port} }} }} }}"),),
+                       Action.GRANT, frozenset({"dep-b"}), now - 1_000, now + 3_600_000,
+                       frozenset({f"grant-{port}"}))
+        for port in BURST_PORTS
+    )
+
+
+def burst_frame(port: int) -> bytes:
+    return udp_frame("02:00:00:00:00:01", "02:00:00:00:00:02", "10.0.0.1", "10.0.0.2",
+                     40000, port, b"burst")
+
+
+def control_messages() -> dict:
+    """Name -> (the body, its sealed envelope's bytes): what the control stages decode."""
+    pdp = EnvelopeFactory("pdp-1", NoopAuthenticator())
+    init = SessionInitialization(burst_grants(now_ms()))
+    ask = AccessRequest(dissect(burst_frame(BURST_PORTS[0])))
+    return {name: (body, messages.encode_envelope(pdp.sealed(body, "dep-a")))
+            for name, body in (("init x10", init), ("access request", ask))}
+
+
 def stages(dep: DepService) -> dict:
     """Stage name -> (the call to time, None or what to run before each
     repeat with the number of calls)."""
     now = now_ms()
     request = dissect(FRAME, dep.cfg.dissection)
+    control = control_messages()
+    (init, init_bytes), (_, ask_bytes) = control["init x10"], control["access request"]
     body = PayloadExchangeRequest(FRAME)
     sender = EnvelopeFactory("dep-b", NoopAuthenticator(), clock=lambda: now)
     batch = iter(())
@@ -107,22 +139,18 @@ def stages(dep: DepService) -> dict:
         "seal + encode": (lambda: messages.encode_envelope(dep.factory.sealed(body, "dep-b")), None),
         "handle_egress_frame": (lambda: dep.handle_egress_frame(FRAME, now), None),
         "handle_datagram": (lambda: dep.handle_datagram(next(batch), now), seal_batch),
+        "decode init x10": (lambda: messages.decode_envelope(init_bytes), None),
+        "decode access request": (lambda: messages.decode_envelope(ask_bytes), None),
+        "encode init x10": (lambda: messages.encode_envelope(sender.sealed(init, "dep-a")), None),
     }
 
 
 def bursts(dep: DepService) -> tuple[dict, Callable[[], None]]:
     """Burst stage name -> the sessions one burst installs; and what makes
     the burst's flows pending again at `dep`, with no decision for them."""
-    now = now_ms()
-    frames = [udp_frame("02:00:00:00:00:01", "02:00:00:00:00:02", "10.0.0.1", "10.0.0.2",
-                        40000, port, b"burst") for port in BURST_PORTS]
+    frames = [burst_frame(port) for port in BURST_PORTS]
     requests = [dissect(frame, dep.cfg.dissection) for frame in frames]
-    grants = tuple(
-        AccessDecision((parse_pattern(f"eth {{ ipv4 {{ udp {{ dstport == {port} }} }} }}"),),
-                       Action.GRANT, frozenset({"dep-b"}), now - 1_000, now + 3_600_000,
-                       frozenset({f"grant-{port}"}))
-        for port in BURST_PORTS
-    )
+    grants = burst_grants(now_ms())
 
     def pend() -> None:
         dep.egress_decisions = DecisionStore()
@@ -188,6 +216,10 @@ def main(argv=None) -> int:
             us = time_burst(burst, inits, pend, max(1, args.count // 100), args.repeats,
                             (peer, device))
             print(f"{name:<22}{us:8.2f} us")
+        for name, (body, raw) in control_messages().items():
+            if messages.decode_envelope(raw).body != body:
+                print(f"stage_timer: a decoded {name} differs from the one encoded", file=sys.stderr)
+                return 1
         counts = dep.metrics.dump()
         forwarded, delivered = counts.pop("egress.forwarded", 0), counts.pop("ingress.delivered", 0)
         if not forwarded or not delivered or counts:
