@@ -26,10 +26,6 @@ from .errors import PatternError
 # isinstance(True, int) is true in Python.
 Value = Union[bool, int, float, str]
 
-#: Layers whose payload is never parsed further.
-TERMINAL_LAYERS = frozenset({"goose", "sv", "opaque"})
-
-
 class PredicateKind(Enum):
     HIERARCHY = "hierarchy"
     HIERARCHY_CONSTRAINED = "hierarchy-constrained"
@@ -67,25 +63,15 @@ def derived_constraints(parent: str, child: str) -> list[tuple[str, Value]]:
     return out
 
 
-def _value_typecode(v: Value) -> str:
-    if type(v) is bool:
-        return "b"
-    if type(v) is int:
-        return "i"
-    if type(v) is float:
-        return "f"
-    return "s"
+_TYPECODE = {bool: "b", int: "i", float: "f"}
+_SCALARS = frozenset({bool, int, float, str})
 
 
 def value_text(v: Value) -> str:
     """Canonical, type-tagged text form of a value (sorting / set keys)."""
     if type(v) is bool:
         return "b:" + ("true" if v else "false")
-    return f"{_value_typecode(v)}:{v!r}"
-
-
-def _same_type(a: Value, b: Value) -> bool:
-    return type(a) is type(b)
+    return f"{_TYPECODE.get(type(v), 's')}:{v!r}"
 
 
 def operand_text(op: MatchOp, operand) -> str:
@@ -152,13 +138,8 @@ def _check_operand(ident: str, op: MatchOp, operand) -> None:
         if not isinstance(operand, str):
             raise PatternError(f"{ident}: prefix operand must be a string")
     elif op is MatchOp.RANGE:
-        ok = (
-            isinstance(operand, tuple)
-            and len(operand) == 2
-            and all(type(x) is int for x in operand)
-            and operand[0] <= operand[1]
-        )
-        if not ok:
+        if not (isinstance(operand, tuple) and len(operand) == 2
+                and all(type(x) is int for x in operand) and operand[0] <= operand[1]):
             raise PatternError(f"{ident}: range operand must be (lo, hi) ints with lo <= hi")
 
 
@@ -186,14 +167,6 @@ class FlowPattern:
         """The pattern itself: every pattern is normalized on construction."""
         return self
 
-    def layers(self) -> list[str]:
-        out = []
-        node: Optional[PredicateNode] = self.root
-        while node is not None:
-            out.append(node.ident)
-            node = node.hierarchy_child()
-        return out
-
     def canonical_bytes(self) -> bytes:
         """Deterministic byte encoding; equal normalized patterns ⇒ equal bytes."""
         if self.encoded is None:
@@ -205,19 +178,16 @@ class FlowPattern:
 
 def flow_pattern_violations(root: PredicateNode) -> list[str]:
     """Structural rule violations of a candidate pattern tree, empty if valid."""
-    out: list[str] = []
     if root.kind is not PredicateKind.HIERARCHY:
-        out.append("root must be a hierarchy node")
-        return out
+        return ["root must be a hierarchy node"]
+    out: list[str] = []
     stack = [root]
-    while stack:
+    while stack:  # only hierarchy nodes are pushed
         node = stack.pop()
-        if node.kind is not PredicateKind.HIERARCHY:
-            continue
         hier = [c for c in node.children if c.kind is PredicateKind.HIERARCHY]
         if len(hier) > 1:
             out.append(f"nonlinear hierarchy at {node.ident!r}")
-        stack.extend(hier)
+        stack += hier
     return out
 
 
@@ -229,28 +199,47 @@ def _normalize_node(node: PredicateNode) -> PredicateNode:
         return node
     children = [c for c in node.children if c.kind is PredicateKind.PARAMETRIC]
     if len(children) > 1:
-        children.sort(key=_leaf_order)
+        children.sort(key=lambda c: (c.ident, c.op.value, operand_text(c.op, c.operand)))
     hier = node.hierarchy_child()
     if hier is not None:
-        kept = [c for c in node.children if c.kind is PredicateKind.HIERARCHY_CONSTRAINED]
-        pins = [_pin(fid, val, kept) for fid, val in derived_constraints(node.ident, hier.ident)]
+        pins = [_pin(f, v, node.children) for f, v in derived_constraints(node.ident, hier.ident)]
         children = pins + children + [_normalize_node(hier)]
     if len(children) == len(node.children) and all(map(operator.is_, children, node.children)):
         return node
     return PredicateNode(node.kind, node.ident, children=tuple(children))
 
 
-def _leaf_order(leaf: PredicateNode) -> tuple:
-    return (leaf.ident, leaf.op.value, operand_text(leaf.op, leaf.operand))
+def _pin(ident: str, value: Value, children: tuple) -> PredicateNode:
+    """The derived constraint `ident == value`: the first of `children` that is it, or a new one."""
+    return next((leaf for leaf in children if is_pin(leaf, ident, value)), None) \
+        or PredicateNode(PredicateKind.HIERARCHY_CONSTRAINED, ident, MatchOp.EQ, value)
 
 
-def _pin(ident: str, value: Value, kept: list[PredicateNode]) -> PredicateNode:
-    """The derived constraint `ident == value`: one of `kept` if it is that."""
-    for leaf in kept:
-        if leaf.ident == ident and leaf.op is MatchOp.EQ and _same_type(leaf.operand, value) \
-                and leaf.operand == value:
-            return leaf
-    return PredicateNode(PredicateKind.HIERARCHY_CONSTRAINED, ident, MatchOp.EQ, value)
+def is_pin(leaf: PredicateNode, ident: str, value: Value) -> bool:
+    """Whether `leaf` is the derived constraint `ident == value`."""
+    return leaf.kind is PredicateKind.HIERARCHY_CONSTRAINED and leaf.ident == ident \
+        and leaf.op is MatchOp.EQ and type(leaf.operand) is type(value) and leaf.operand == value
+
+
+_new = object.__new__
+
+
+def trusted_node(kind, ident, op=None, operand=None, children=()) -> PredicateNode:
+    """The node the constructor builds, built without its checks, which the
+    caller has made (`codec.flow_at`, `exact_flow`)."""
+    node = _new(PredicateNode)
+    fields = node.__dict__
+    fields["kind"], fields["ident"], fields["op"], fields["operand"], fields["children"] = \
+        kind, ident, op, operand, children
+    return node
+
+
+def trusted_flow(root: PredicateNode, encoded: Optional[bytes] = None) -> FlowPattern:
+    """The pattern of a valid tree its caller built in normalized form, so
+    neither walked nor normalized again; it keeps `encoded` when given."""
+    flow = _new(FlowPattern)
+    flow.__dict__.update(root=root, encoded=encoded)
+    return flow
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +318,9 @@ def _eval_leaf(pred: PredicateNode, fact: Optional[Value]) -> bool:
         return False
     op = pred.op
     if op is MatchOp.EQ:
-        return _same_type(fact, pred.operand) and fact == pred.operand
+        return type(fact) is type(pred.operand) and fact == pred.operand
     if op is MatchOp.IN_SET:
-        return any(_same_type(fact, v) and fact == v for v in pred.operand)
+        return any(type(fact) is type(v) and fact == v for v in pred.operand)
     if op is MatchOp.PREFIX:
         return isinstance(fact, str) and fact.startswith(pred.operand)
     lo, hi = pred.operand
@@ -505,18 +494,29 @@ def is_more_specific(a: FlowPattern, b: FlowPattern) -> Specificity:
 
 def exact_flow(request: AccessRequestPattern) -> FlowPattern:
     """Pattern matching exactly this request: every fact becomes an eq
-    predicate on the mirrored anchor chain."""
-    chain: Optional[PredicateNode] = None
-    for node in reversed(request.anchors()):
-        leaves = tuple(
-            PredicateNode(PredicateKind.PARAMETRIC, fid, MatchOp.EQ, val)
-            for fid, val in node.facts
-        )
-        children = leaves + ((chain,) if chain is not None else ())
-        chain = PredicateNode(PredicateKind.HIERARCHY, node.layer, children=children)
-    if chain is None:
+    predicate on the mirrored anchor chain.  Built in normalized form (each
+    anchor's derived pins, facts, then the inner anchor), it is normalized
+    again only if an anchor's facts are not scalars, one per field, in order."""
+    anchors = request.anchors()
+    if not anchors:
         raise PatternError("request pattern has no anchors")
-    return FlowPattern(chain)
+    normal = all(map(_in_field_order, anchors))
+    make = trusted_node if normal else PredicateNode
+    chain: Optional[PredicateNode] = None
+    for node in reversed(anchors):
+        leaves = [make(PredicateKind.PARAMETRIC, fid, MatchOp.EQ, val) for fid, val in node.facts]
+        if chain is not None:
+            leaves[:0] = [make(PredicateKind.HIERARCHY_CONSTRAINED, fid, MatchOp.EQ, val)
+                          for fid, val in derived_constraints(node.layer, chain.ident)]
+            leaves.append(chain)
+        chain = make(PredicateKind.HIERARCHY, node.layer, None, None, tuple(leaves))
+    return trusted_flow(chain) if normal else FlowPattern(chain)
+
+
+def _in_field_order(node: RequestNode) -> bool:
+    facts = node.facts
+    return all(type(val) in _SCALARS for _, val in facts) \
+        and all(a[0] < b[0] for a, b in zip(facts, facts[1:]))
 
 
 # Convenience constructors used across tests and fixtures.

@@ -18,6 +18,7 @@ precedes authorization.
 
 from __future__ import annotations
 
+import os
 import queue
 import socket
 import threading
@@ -117,6 +118,11 @@ class DepService(Service):
                   data=self.data_address, capture=self.capture_address)
 
     def stop(self) -> None:
+        # Read while the sockets are open: a closed socket leaves the kernel's table.
+        sockets = {"capture": self._capture_sock, "data": self._data_sock}
+        for name, dropped in kernel_drops(sockets).items():
+            if dropped:
+                self.metrics.incr(f"kernel.{name}-drops", dropped)
         super().stop()  # wakes a worker blocked on a channel, ends the loop, closes its sockets
         self._jobs.put(None)  # a worker started after this exits at once
         if self._worker.ident is not None:
@@ -423,6 +429,29 @@ def _overlapping(a: FlowPattern, b: FlowPattern) -> bool:
 
 def _differs(a: AccessDecision, b: AccessDecision) -> bool:
     return a.action is not b.action or a.nexthop != b.nexthop
+
+
+def kernel_drops(sockets: dict[str, socket.socket]) -> dict[str, int]:
+    """Datagrams the kernel dropped at each open IPv4 UDP socket of `sockets`
+    because its receive buffer was full: the `drops` column of /proc/net/udp,
+    found by the socket's inode.  Read once, it costs nothing per datagram,
+    where SO_RXQ_OVFL would add ancillary data to every receive.  Empty where
+    the table cannot be read."""
+    inodes = {os.fstat(sock.fileno()).st_ino: name for name, sock in sockets.items()
+              if sock.fileno() >= 0 and sock.family == socket.AF_INET
+              and sock.type == socket.SOCK_DGRAM}
+    drops: dict[str, int] = {}
+    try:
+        with open("/proc/net/udp") as table:
+            table.readline()  # the header
+            for row in table:
+                columns = row.split()  # ... inode (9), ref, pointer, drops (12)
+                name = inodes.get(int(columns[9]))
+                if name is not None:
+                    drops[name] = int(columns[12])
+    except (OSError, ValueError, IndexError):
+        pass
+    return drops
 
 
 def _bind_udp(addr: Address, service_id: str, what: str) -> socket.socket:

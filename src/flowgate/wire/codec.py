@@ -15,6 +15,7 @@ turns into TruncatedBufferError.
 
 from __future__ import annotations
 
+import functools
 import struct
 
 from ..decisions import AccessDecision
@@ -26,6 +27,11 @@ from ..patterns import (
     PredicateKind,
     PredicateNode,
     RequestNode,
+    derived_constraints,
+    is_pin,
+    operand_text,
+    trusted_flow,
+    trusted_node,
 )
 from ..policy import (
     Action,
@@ -67,6 +73,7 @@ class MalformedFieldError(DecodeError):
 
 
 MAX_BODY_LEN = 2**24 - 1
+_new = object.__new__
 
 
 class Writer:
@@ -96,10 +103,6 @@ class Writer:
     def i64(self, v: int) -> "Writer":
         return self._int(v, 8, signed=True)
 
-    def f64(self, v: float) -> "Writer":
-        self._parts.append(_F64.pack(v))
-        return self
-
     def raw(self, data: bytes) -> "Writer":
         self._parts.append(data)
         return self
@@ -111,13 +114,16 @@ class Writer:
         return self.u32(len(data)).raw(data)
 
     def text(self, s: str) -> "Writer":
-        return self.bytes_u16(s.encode("utf-8"))
+        self._parts.append(text_bytes(s))
+        return self
 
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
 
 
 _U16 = struct.Struct(">H")
+_TAG_I64 = struct.Struct(">Bq")
+_TAG_F64 = struct.Struct(">Bd")
 _U64 = struct.Struct(">Q")
 _I64 = struct.Struct(">q")
 _I64_PAIR = struct.Struct(">qq")
@@ -137,13 +143,11 @@ def decode_whole(read, data: bytes):
 
 
 def text_at(data: bytes, pos: int) -> tuple[str, int]:
-    (n,) = _U16.unpack_from(data, pos)
-    pos += 2
-    end = pos + n
+    end = pos + 2 + (data[pos] << 8 | data[pos + 1])
     if end > len(data):
-        raise LengthOverrunError(f"declared length {n} exceeds remaining {len(data) - pos} bytes")
+        raise LengthOverrunError(f"declared length {end - pos - 2} exceeds the remaining bytes")
     try:
-        return data[pos:end].decode("utf-8"), end
+        return data[pos + 2:end].decode(), end
     except UnicodeDecodeError as exc:
         raise MalformedFieldError(f"invalid utf-8: {exc}") from None
 
@@ -162,19 +166,31 @@ def items_at(read, data: bytes, pos: int) -> tuple[list, int]:
 # --- scalar values ----------------------------------------------------------
 
 _VT_BOOL, _VT_INT, _VT_FLOAT, _VT_STR = 0, 1, 2, 3
+_FALSE, _TRUE, _STR_TAG = bytes((_VT_BOOL, 0)), bytes((_VT_BOOL, 1)), bytes((_VT_STR,))
 
 
-def write_value(w: Writer, v) -> None:
-    if type(v) is bool:
-        w.u8(_VT_BOOL).u8(1 if v else 0)
-    elif type(v) is int:
-        w.u8(_VT_INT).i64(v)
-    elif type(v) is float:
-        w.u8(_VT_FLOAT).f64(v)
-    elif type(v) is str:
-        w.u8(_VT_STR).text(v)
-    else:
-        raise EncodeError(f"unencodable value type {type(v).__name__}")
+def value_bytes(v) -> bytes:
+    """A value's encoding, its type tag and then the value; also its sort key."""
+    try:
+        if type(v) is int:
+            return _TAG_I64.pack(_VT_INT, v)
+        if type(v) is str:
+            return _STR_TAG + text_bytes(v)
+        if type(v) is bool:
+            return _TRUE if v else _FALSE
+        if type(v) is float:
+            return _TAG_F64.pack(_VT_FLOAT, v)
+    except struct.error:
+        raise EncodeError(f"{type(v).__name__} value out of range") from None
+    raise EncodeError(f"unencodable value type {type(v).__name__}")
+
+
+def text_bytes(s: str) -> bytes:
+    """A string's encoding: its UTF-8 length as a u16, then the UTF-8."""
+    raw = s.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise EncodeError(f"u16 out of range: {len(raw)}")
+    return _U16.pack(len(raw)) + raw
 
 
 def value_at(data: bytes, pos: int):
@@ -193,12 +209,6 @@ def value_at(data: bytes, pos: int):
     raise MalformedFieldError(f"unknown value tag {tag}")
 
 
-def value_sort_key(v) -> bytes:
-    w = Writer()
-    write_value(w, v)
-    return w.getvalue()
-
-
 # --- flow patterns ----------------------------------------------------------
 
 _KIND_CODE = {
@@ -208,6 +218,7 @@ _KIND_CODE = {
 }
 _KIND_FROM = {v: k for k, v in _KIND_CODE.items()}
 
+_HIERARCHY, _PARAMETRIC = PredicateKind.HIERARCHY, PredicateKind.PARAMETRIC
 _OP_CODE = {MatchOp.EQ: 0, MatchOp.IN_SET: 1, MatchOp.PREFIX: 2, MatchOp.RANGE: 3}
 _OP_FROM = {v: k for k, v in _OP_CODE.items()}
 
@@ -215,12 +226,12 @@ _OP_FROM = {v: k for k, v in _OP_CODE.items()}
 def _write_operand(w: Writer, op: MatchOp, operand) -> None:
     w.u8(_OP_CODE[op])
     if op is MatchOp.EQ:
-        write_value(w, operand)
+        w.raw(value_bytes(operand))
     elif op is MatchOp.IN_SET:
-        members = sorted(operand, key=value_sort_key)
+        members = sorted(operand, key=value_bytes)
         w.u16(len(members))
         for v in members:
-            write_value(w, v)
+            w.raw(value_bytes(v))
     elif op is MatchOp.PREFIX:
         w.text(operand)
     else:
@@ -257,27 +268,51 @@ def _write_flow_node(w: Writer, node: PredicateNode) -> None:
         _write_flow_node(w, child)
 
 
-def _flow_node_at(data: bytes, pos: int, depth: int, recoded: list) -> tuple[PredicateNode, int]:
-    """One node and its subtree; an in-set operand that would encode otherwise
-    than it was read (out of order, or with repeats) goes to `recoded`."""
+def _flow_node_at(data: bytes, pos: int, depth: int) -> tuple[PredicateNode, int, bool]:
+    """One node and its subtree, checked as the constructors check them, and whether
+    they are in normalized form and encode as read (no in-set out of order or repeated)."""
     if depth > 32:
         raise MalformedFieldError("pattern nesting too deep")
     kind = _KIND_FROM.get(data[pos])
     if kind is None:
         raise MalformedFieldError("unknown predicate kind")
     ident, pos = text_at(data, pos + 1)
-    op = operand = None
-    if kind is not PredicateKind.HIERARCHY:
-        start = pos
-        op, operand, pos = _operand_at(data, pos)
-        if op is MatchOp.IN_SET and _operand_bytes(op, operand) != data[start:pos]:
-            recoded.append(operand)
-    children, pos = items_at(lambda data, pos: _flow_node_at(data, pos, depth + 1, recoded),
-                             data, pos)
-    try:
-        return PredicateNode(kind, ident, op, operand, tuple(children)), pos
-    except FlowgateError as exc:
-        raise MalformedFieldError(str(exc)) from None
+    if kind is not _HIERARCHY:
+        op, operand, end = _operand_at(data, pos)
+        if data[end] or data[end + 1]:  # read the children first: they may be malformed too
+            items_at(lambda data, pos: _flow_node_at(data, pos, depth + 1)[:2], data, end)
+            raise MalformedFieldError(f"leaf predicate {ident!r} has children")
+        return trusted_node(kind, ident, op, operand), end + 2, \
+            op is not MatchOp.IN_SET or _operand_bytes(op, operand) == data[pos:end]
+    (n,) = _U16.unpack_from(data, pos)
+    pos += 2
+    children = []
+    normal = True
+    for _ in range(n):
+        child, pos, child_normal = _flow_node_at(data, pos, depth + 1)
+        children.append(child)
+        normal = normal and child_normal
+    return trusted_node(kind, ident, None, None, tuple(children)), pos, \
+        normal and _in_normal_form(ident, children)
+
+
+def _in_normal_form(ident: str, children: list) -> bool:
+    """Whether normalization leaves a hierarchy node with these children, each
+    normal itself, as it is: the derived pins, then the parametric leaves in
+    (field, operator, operand text) order, then at most one hierarchy child."""
+    hier = children[-1] if children and children[-1].kind is _HIERARCHY else None
+    pins = derived_constraints(ident, hier.ident) if hier is not None else ()
+    for (fid, value), leaf in zip(pins, children):
+        if not is_pin(leaf, fid, value):
+            return False
+    last = None
+    for leaf in children[len(pins):len(children) - (hier is not None)]:
+        if leaf.kind is not _PARAMETRIC or last is not None and last.ident >= leaf.ident and (
+                last.ident > leaf.ident or (last.op.value, operand_text(last.op, last.operand))
+                > (leaf.op.value, operand_text(leaf.op, leaf.operand))):
+            return False
+        last = leaf
+    return True
 
 
 def _operand_bytes(op: MatchOp, operand) -> bytes:
@@ -294,67 +329,68 @@ def encode_flow_pattern(flow: FlowPattern) -> bytes:
 
 
 def flow_at(data: bytes, pos: int) -> tuple[FlowPattern, int]:
-    """A flow pattern, which keeps the bytes it was read from when they are
-    its canonical encoding: normalization left its tree as read."""
-    start, recoded = pos, []
-    root, pos = _flow_node_at(data, pos, 0, recoded)
+    """A flow pattern.  One read in normalized form is built as read and keeps the
+    bytes it was read from, its canonical encoding; any other is normalized."""
+    start = pos
+    root, pos, normal = _flow_node_at(data, pos, 0)
+    if normal and root.kind is _HIERARCHY:
+        return trusted_flow(root, data[start:pos]), pos
     try:
-        flow = FlowPattern(root)
+        return FlowPattern(root), pos
     except FlowgateError as exc:
         raise MalformedFieldError(str(exc)) from None
-    if flow.root is root and not recoded:
-        object.__setattr__(flow, "encoded", data[start:pos])
-    return flow, pos
 
 
 # --- request patterns -------------------------------------------------------
 
 
-def _write_request_node(w: Writer, node: RequestNode) -> None:
-    w.text(node.layer)
-    w.u16(len(node.facts))
-    for fid, val in sorted(node.facts):
-        w.text(fid)
-        write_value(w, val)
-    if node.child is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        _write_request_node(w, node.child)
-
-
-def _request_node_at(data: bytes, pos: int, depth: int = 0) -> tuple[RequestNode, int]:
-    if depth > 32:
-        raise MalformedFieldError("request nesting too deep")
-    layer, pos = text_at(data, pos)
-    (n,) = _U16.unpack_from(data, pos)
-    pos += 2
-    facts = []
-    for _ in range(n):
-        fid, pos = text_at(data, pos)
-        value, pos = value_at(data, pos)
-        facts.append((fid, value))
-    flag = data[pos]
-    pos += 1
-    child = None
-    if flag == 1:
-        child, pos = _request_node_at(data, pos, depth + 1)
-    elif flag != 0:
-        raise MalformedFieldError(f"bad child flag {flag}")
-    try:
-        facts.sort()
-    except TypeError:  # one field twice, with values that do not order
-        raise MalformedFieldError(f"repeated field in layer {layer!r}") from None
-    return RequestNode(layer, tuple(facts), child), pos
+_name_bytes = functools.lru_cache(maxsize=256)(text_bytes)  # layer and field names: a few dozen
 
 
 def write_request_pattern(w: Writer, req: AccessRequestPattern) -> None:
-    _write_request_node(w, req.root)
+    """Each anchor: its layer, its facts in field order, then whether a child follows."""
+    parts, node = w._parts, req.root
+    while node is not None:
+        facts = sorted(node.facts)
+        if len(facts) > 0xFFFF:
+            raise EncodeError(f"{len(facts)} facts in layer {node.layer!r}")
+        parts += (_name_bytes(node.layer), _U16.pack(len(facts)))
+        for fid, val in facts:
+            parts += (_name_bytes(fid), value_bytes(val))
+        node = node.child
+        parts.append(b"\x00" if node is None else b"\x01")
 
 
 def request_at(data: bytes, pos: int) -> tuple[AccessRequestPattern, int]:
-    root, pos = _request_node_at(data, pos)
-    return AccessRequestPattern(root), pos
+    anchors = []
+    while True:
+        if len(anchors) > 32:
+            raise MalformedFieldError("request nesting too deep")
+        layer, pos = text_at(data, pos)
+        (n,) = _U16.unpack_from(data, pos)
+        pos += 2
+        facts = []
+        for _ in range(n):
+            fid, pos = text_at(data, pos)
+            value, pos = value_at(data, pos)
+            facts.append((fid, value))
+        anchors.append((layer, facts))
+        flag = data[pos]
+        pos += 1
+        if flag == 0:
+            break
+        if flag != 1:
+            raise MalformedFieldError(f"bad child flag {flag}")
+    node = None
+    for layer, facts in reversed(anchors):
+        try:
+            facts.sort()
+        except TypeError:  # one field twice, with values that do not order
+            raise MalformedFieldError(f"repeated field in layer {layer!r}") from None
+        outer = _new(RequestNode)  # no checks to skip: as `frames` links a dissection
+        outer.__dict__.update(layer=layer, facts=tuple(facts), child=node)
+        node = outer
+    return AccessRequestPattern(node), pos
 
 
 # --- policies and preconditions ---------------------------------------------
@@ -381,7 +417,7 @@ def write_predicate(w: Writer, pred: AuxiliaryPredicate) -> None:
         w.u16(len(term.comparisons))
         for c in term.comparisons:
             w.text(c.key).u8(_CMP_CODE[c.op])
-            write_value(w, c.value)
+            w.raw(value_bytes(c.value))
 
 
 def _predicate_at(data: bytes, pos: int) -> tuple[AuxiliaryPredicate, int]:
@@ -455,7 +491,7 @@ def decode_policy(data: bytes) -> Policy:
 
 def write_binding(w: Writer, b: AttributeBinding) -> None:
     w.text(b.key)
-    write_value(w, b.value)
+    w.raw(value_bytes(b.value))
     w.u64(b.valid_from).u64(b.valid_until)
 
 
@@ -487,10 +523,9 @@ def write_decision(w: Writer, d) -> None:
 
 
 def decision_at(data: bytes, pos: int) -> tuple[AccessDecision, int]:
-    (nflows,) = _U16.unpack_from(data, pos)
-    if nflows == 0:
-        raise MalformedFieldError("decision without flows")
     flows, pos = items_at(flow_at, data, pos)
+    if not flows:
+        raise MalformedFieldError("decision without flows")
     action = _ACTION_FROM.get(data[pos])
     if action is None:
         raise MalformedFieldError("unknown action code")

@@ -2,6 +2,7 @@
 request fan-out, and enforcement-point data-path rules."""
 
 import logging
+import os
 import socket
 import sys
 import threading
@@ -21,7 +22,7 @@ from flowgate.services.base import (
     FIRST_ENVELOPE_TIMEOUT_S, ControlServer, EnvelopeFactory, Metrics,
 )
 from flowgate.services.config import BypassRule, DepRegistryEntry, ServiceConfig
-from flowgate.services.dep import DepService
+from flowgate.services.dep import DepService, kernel_drops
 from flowgate.services.pasp import PaspService
 from flowgate.services import pdp as pdp_module
 from flowgate.services.pdp import PdpService
@@ -1026,6 +1027,43 @@ class TestDepStop:
             sockets = (service._data_sock, service._capture_sock,
                        service._server._wake_r, service._server._wake_w)
             assert all(sock.fileno() == -1 for sock in sockets)
+        finally:
+            service.stop()
+            pdp.close()
+            catcher.sock.close()
+            deliver.sock.close()
+
+
+def flood(sock: socket.socket, count: int = 200) -> None:
+    """Send `count` 1000 B datagrams to `sock`, whose receive buffer holds a few."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1024)  # the kernel's minimum
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+        for _ in range(count):
+            sender.sendto(b"\x00" * 1000, sock.getsockname())
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/net/udp"), reason="no /proc/net/udp")
+class TestKernelDrops:
+    def test_a_flooded_socket_never_read_reports_drops(self):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock, \
+                socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as quiet:
+            sock.bind(("127.0.0.1", 0))
+            quiet.bind(("127.0.0.1", 0))
+            flood(sock)
+            drops = kernel_drops({"flooded": sock, "quiet": quiet})
+        assert drops["flooded"] > 0
+        assert drops["quiet"] == 0
+        assert kernel_drops({"closed": sock}) == {}
+
+    def test_stop_counts_the_capture_sockets_drops(self):
+        catcher, deliver, pdp = UdpCatcher(), UdpCatcher(), EnvelopeSink()
+        service = make_dep(catcher, deliver, pdp)
+        try:
+            flood(service._capture_sock)  # never started: nothing reads it
+            service.stop()
+            counts = service.metrics.dump()
+            assert counts["kernel.capture-drops"] > 0
+            assert "kernel.data-drops" not in counts  # nothing dropped, nothing counted
         finally:
             service.stop()
             pdp.close()

@@ -9,21 +9,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowgate.decisions import AccessDecision
-from flowgate.errors import TransportError
+from flowgate.errors import PatternError, TransportError
 from flowgate.frames import dissect, udp_frame
+from flowgate.patterns import (
+    AccessRequestPattern,
+    FlowPattern,
+    MatchOp,
+    PredicateKind,
+    PredicateNode,
+    RequestNode,
+    derived_constraints,
+    exact_flow,
+    hierarchy,
+    operand_text,
+    where,
+)
 from flowgate.policy import Action
 from flowgate.pattern_text import parse_pattern
+from flowgate.wire import codec
 from flowgate.wire.auth import AuthScheme, NoopAuthenticator, seal
 from flowgate.wire.codec import (
     DecodeError,
     EncodeError,
     LengthOverrunError,
+    MalformedFieldError,
     TruncatedBufferError,
     UnknownMessageTypeError,
     UnknownVersionError,
     Writer,
     decode_policy,
+    decode_whole,
+    encode_flow_pattern,
     encode_policy,
+    flow_at,
 )
 from flowgate.wire.messages import (
     MAX_BODY_LEN,
@@ -280,3 +298,205 @@ class TestStreamFraming:
             else:
                 with pytest.raises(TransportError, match="mid-frame"):
                     recv_frame(b)
+
+
+class TestCanonicalFlowDecode:
+    """`flow_at` builds a pattern that arrives in normalized form as read, and
+    `exact_flow` builds its pattern in normalized form: both skip the
+    normalizing constructor.  Checked against that constructor, on seeded
+    patterns in and out of normalized form, their truncations and mutations,
+    and the flows of the golden fixtures."""
+
+    LAYERS = ("eth", "vlan", "ipv4", "udp", "tcp", "goose", "sv", "opaque")
+    FIELDS = ("dst", "src", "ethertype", "protocol", "dstport", "appid", "length")
+    VALUES = (0, 2, 10, 6, 17, 0x0800, 0x8100, 0x88B8, -1, 2**62, True, False,
+              "", "10.0.0.1", "x", "é", 1.5, -0.0, 17.0, 2048.0)
+
+    @staticmethod
+    def nodes_at(data, pos, depth=0):
+        """The tree at `pos` as the validating constructors build it, read
+        without normalization."""
+        if depth > 32:
+            raise MalformedFieldError("pattern nesting too deep")
+        kind = codec._KIND_FROM.get(data[pos])
+        if kind is None:
+            raise MalformedFieldError("unknown predicate kind")
+        ident, pos = codec.text_at(data, pos + 1)
+        op = operand = None
+        if kind is not PredicateKind.HIERARCHY:
+            op, operand, pos = codec._operand_at(data, pos)
+        children, pos = codec.items_at(
+            lambda data, pos: TestCanonicalFlowDecode.nodes_at(data, pos, depth + 1), data, pos)
+        try:
+            return PredicateNode(kind, ident, op, operand, tuple(children)), pos
+        except PatternError as exc:
+            raise MalformedFieldError(str(exc)) from None
+
+    def normalized_at(self, data, pos):
+        """The pattern the normalizing constructor builds from the nodes read, and their root."""
+        root, pos = self.nodes_at(data, pos)
+        try:
+            return (FlowPattern(root), root), pos
+        except PatternError as exc:
+            raise MalformedFieldError(str(exc)) from None
+
+    def expect(self, data):
+        """The pattern `flow_at` must decode from `data`, and whether it must
+        keep `data` as its encoding: when normalization leaves the tree as
+        read, and it encodes as read; or the DecodeError class it raises."""
+        try:
+            flow, root = decode_whole(self.normalized_at, data)
+        except DecodeError as exc:
+            return type(exc), None
+        return flow, flow.root is root and encode_flow_pattern(flow) == data
+
+    def check(self, data):
+        want, kept = self.expect(data)
+        if isinstance(want, type):
+            with pytest.raises(want):
+                decode_whole(flow_at, data)
+            return False
+        flow = decode_whole(flow_at, data)
+        assert flow == want or "nan" in repr(want) and flow.canonical_bytes() == want.canonical_bytes()
+        assert (flow.encoded is not None) == kept
+        if kept:
+            assert flow.encoded == data == encode_flow_pattern(flow)
+        return kept
+
+    def leaf(self, rng, kind=PredicateKind.PARAMETRIC, field=None, op=None):
+        op = op or rng.choice(list(MatchOp))
+        if op is MatchOp.EQ:
+            operand = rng.choice(self.VALUES)
+        elif op is MatchOp.IN_SET:
+            operand = frozenset(rng.sample(self.VALUES, rng.randint(1, 4)))
+        elif op is MatchOp.PREFIX:
+            operand = rng.choice(("", "10.", "x"))
+        else:
+            lo = rng.randint(-5, 50)
+            operand = (lo, lo + rng.randint(0, 10))
+        return PredicateNode(kind, field or rng.choice(self.FIELDS), op, operand)
+
+    def pins(self, rng, layer, child):
+        """The derived pins of `layer` over `child`: mostly right, sometimes
+        of the wrong type or value, parametric, or missing."""
+        out = []
+        for fid, value in derived_constraints(layer, child):
+            kind, roll = PredicateKind.HIERARCHY_CONSTRAINED, rng.random()
+            if roll < 0.1:
+                value = float(value)
+            elif roll < 0.15:
+                value += 1
+            elif roll < 0.2:
+                kind = PredicateKind.PARAMETRIC
+            if roll < 0.9:
+                out.append(PredicateNode(kind, fid, MatchOp.EQ, value))
+        return out
+
+    def tree(self, rng, depth=0):
+        """A hierarchy node whose children are usually in normalized order
+        (a repeated field, ordered by its operands' text or not, included),
+        and otherwise shuffled, with a stray pin, or non-linear."""
+        layer = rng.choice(self.LAYERS)
+        leaves = [self.leaf(rng) for _ in range(rng.randint(0, 3))]
+        if leaves and rng.random() < 0.4:  # the same field and operator again
+            leaves.append(self.leaf(rng, field=leaves[0].ident, op=leaves[0].op))
+        child = self.tree(rng, depth + 1) if depth < 3 and rng.random() < 0.7 else None
+        if rng.random() < 0.7:
+            leaves.sort(key=lambda c: (c.ident, c.op.value, operand_text(c.op, c.operand)))
+            if rng.random() < 0.1 and len(leaves) > 1:
+                leaves.reverse()
+        else:
+            rng.shuffle(leaves)
+        children = (self.pins(rng, layer, child.ident) if child else []) + leaves
+        children += [child] if child else []
+        roll = rng.random()
+        if roll < 0.05:  # a pin without a hierarchy child to imply it
+            children.insert(0, self.leaf(rng, PredicateKind.HIERARCHY_CONSTRAINED))
+        elif roll < 0.1:
+            children.append(hierarchy(rng.choice(self.LAYERS)))
+        return hierarchy(layer, *children)
+
+    def variants(self, rng, data):
+        yield data
+        for cut in rng.sample(range(len(data)), min(len(data), 8)):
+            yield data[:cut]
+        for _ in range(8):
+            mutated = bytearray(data)
+            for _ in range(rng.randint(1, 3)):
+                mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+            yield bytes(mutated)
+
+    def test_generated_patterns(self, rng):
+        kept = dropped = 0
+        for _ in range(400):
+            root = self.tree(rng) if rng.random() < 0.95 else self.leaf(rng)
+            w = Writer()
+            codec._write_flow_node(w, root)
+            for data in self.variants(rng, w.getvalue()):
+                if self.check(data):
+                    kept += 1
+                else:
+                    dropped += 1
+        assert kept > 400 and dropped > 400  # both paths ran, often
+
+    def test_flows_of_the_goldens(self, rng):
+        flows = []
+        for envelope in golden_envelopes().values():
+            body = envelope.body
+            for decision in getattr(body, "decisions", ()):
+                flows.extend(decision.flows)
+            for policy in getattr(body, "policies", ()) or [getattr(body, "policy", None)]:
+                if policy is not None:
+                    flows.append(policy.flow)
+            if hasattr(body, "flow"):
+                flows.append(body.flow)
+        assert flows
+        for flow in flows:
+            data = flow.canonical_bytes()
+            assert self.check(data)
+            for variant in self.variants(rng, data):
+                self.check(variant)
+
+    def test_an_unsorted_in_set_is_decoded_but_not_kept(self):
+        w = Writer()
+        w.u8(0).text("eth").u16(1)
+        w.u8(2).text("ethertype").u8(1).u16(2).u8(1).u64(2).u8(1).u64(1)  # in-set {2, 1}
+        w.u16(0)
+        data = w.getvalue()
+        assert self.check(data) is False
+        assert decode_whole(flow_at, data) == FlowPattern(
+            hierarchy("eth", where("ethertype", MatchOp.IN_SET, {1, 2})))
+
+    @staticmethod
+    def normalizing_exact_flow(request):
+        chain = None
+        for node in reversed(request.anchors()):
+            leaves = [PredicateNode(PredicateKind.PARAMETRIC, fid, MatchOp.EQ, val)
+                      for fid, val in node.facts]
+            chain = hierarchy(node.layer, *leaves, *([chain] if chain else []))
+        return FlowPattern(chain)
+
+    def test_exact_flow_of_dissected_frames(self, rng):
+        from test_frames import TestAgainstReference
+
+        for _ in range(20):
+            for frame in TestAgainstReference.frames(rng).values():
+                for cut in range(14, len(frame) + 1):
+                    request = dissect(frame[:cut], TestAgainstReference.OPTIONS)
+                    flow = exact_flow(request)
+                    assert flow == self.normalizing_exact_flow(request)
+                    assert FlowPattern(flow.root).root is flow.root  # built in normalized form
+                    assert flow.canonical_bytes() == encode_flow_pattern(flow)
+
+    @pytest.mark.parametrize("facts", [
+        (("a", 2), ("a", 10)),
+        (("a", 10), ("a", 2)),
+        (("b", 1), ("a", 1)),
+        (("a", 1), ("a", "x"), ("a", True)),
+        (("ethertype", 0x0800), ("ethertype", 0x0800)),
+    ], ids=["repeat-in-value-order", "repeat-in-text-order", "unsorted", "mixed-types", "twice"])
+    def test_exact_flow_of_a_request_that_repeats_a_field(self, facts):
+        request = AccessRequestPattern(RequestNode("eth", facts, RequestNode("ipv4", facts)))
+        flow = exact_flow(request)
+        assert flow == self.normalizing_exact_flow(request)
+        assert FlowPattern(flow.root).root is flow.root

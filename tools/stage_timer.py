@@ -10,9 +10,15 @@ sequence number, so a batch is sealed before each repeat, outside the timing.
 
 The control messages of a burst's handshake are timed too: `decode init x10`
 and `encode init x10` take a session initialization of the burst's 10 grants
-apart and put it together, as each DEP and the PDP do, and `decode access
-request` decodes one of the burst's access requests.  The run fails when a
-decoded message differs from the one encoded.
+apart and put it together, as each DEP and the PDP do; `decode churn init`
+decodes what dep-a receives for a perfbench flow-churn burst, 8 grants and 2
+default denials; `encode access request` and `decode access request` put one
+of the burst's access requests together and take it apart; and `default
+denial` derives the denial the PDP issues for a burst frame no policy
+grants.  The run fails when a decoded message differs from the one encoded,
+or when a decoded session initialization, whose flows are all in normalized
+form, holds a flow that did not keep the bytes it was read from: the decoder
+then normalized a pattern it should have built as read.
 
 The DEP side of an authorization handshake is timed as well: `burst install
 1x10` installs one session initialization of 10 grants at a DEP holding one
@@ -42,7 +48,7 @@ from typing import Callable
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from flowgate.decisions import AccessDecision, DecisionStore  # noqa: E402
+from flowgate.decisions import AccessDecision, DecisionStore, default_decision  # noqa: E402
 from flowgate.frames import dissect, goose_frame, udp_frame  # noqa: E402
 from flowgate.pattern_text import parse_pattern  # noqa: E402
 from flowgate.policy import Action  # noqa: E402
@@ -91,14 +97,22 @@ def build_dep(peer: socket.socket, device: socket.socket) -> DepService:
     return dep
 
 
-def burst_grants(now: int) -> tuple[AccessDecision, ...]:
-    """One grant per flow of a burst, each from its own policy."""
+def burst_grants(now: int, ports=BURST_PORTS, dst: str = "") -> tuple[AccessDecision, ...]:
+    """One grant per flow of a burst, each from its own policy; with `dst`,
+    the policies pin the destination address too, as perfbench's do."""
+    pin = f'dst == "{dst}" ' if dst else ""
     return tuple(
-        AccessDecision((parse_pattern(f"eth {{ ipv4 {{ udp {{ dstport == {port} }} }} }}"),),
+        AccessDecision((parse_pattern(f"eth {{ ipv4 {{ {pin}udp {{ dstport == {port} }} }} }}"),),
                        Action.GRANT, frozenset({"dep-b"}), now - 1_000, now + 3_600_000,
                        frozenset({f"grant-{port}"}))
-        for port in BURST_PORTS
+        for port in ports
     )
+
+
+def churn_init(now: int) -> SessionInitialization:
+    """What dep-a receives for a flow-churn burst: 8 grants and 2 default denials."""
+    denials = tuple(default_decision(dissect(burst_frame(port)), now) for port in BURST_PORTS[8:])
+    return SessionInitialization(burst_grants(now, BURST_PORTS[:8], "10.0.0.2") + denials)
 
 
 def burst_frame(port: int) -> bytes:
@@ -112,7 +126,8 @@ def control_messages() -> dict:
     init = SessionInitialization(burst_grants(now_ms()))
     ask = AccessRequest(dissect(burst_frame(BURST_PORTS[0])))
     return {name: (body, messages.encode_envelope(pdp.sealed(body, "dep-a")))
-            for name, body in (("init x10", init), ("access request", ask))}
+            for name, body in (("init x10", init), ("churn init", churn_init(now_ms())),
+                               ("access request", ask))}
 
 
 def stages(dep: DepService) -> dict:
@@ -121,7 +136,9 @@ def stages(dep: DepService) -> dict:
     now = now_ms()
     request = dissect(FRAME, dep.cfg.dissection)
     control = control_messages()
-    (init, init_bytes), (_, ask_bytes) = control["init x10"], control["access request"]
+    (init, init_bytes), (ask, ask_bytes) = control["init x10"], control["access request"]
+    churn_bytes = control["churn init"][1]
+    denied = dissect(burst_frame(BURST_PORTS[-1]))
     body = PayloadExchangeRequest(FRAME)
     sender = EnvelopeFactory("dep-b", NoopAuthenticator(), clock=lambda: now)
     batch = iter(())
@@ -140,8 +157,12 @@ def stages(dep: DepService) -> dict:
         "handle_egress_frame": (lambda: dep.handle_egress_frame(FRAME, now), None),
         "handle_datagram": (lambda: dep.handle_datagram(next(batch), now), seal_batch),
         "decode init x10": (lambda: messages.decode_envelope(init_bytes), None),
+        "decode churn init": (lambda: messages.decode_envelope(churn_bytes), None),
         "decode access request": (lambda: messages.decode_envelope(ask_bytes), None),
         "encode init x10": (lambda: messages.encode_envelope(sender.sealed(init, "dep-a")), None),
+        "encode access request":
+            (lambda: messages.encode_envelope(sender.sealed(ask, "pdp-1")), None),
+        "default denial": (lambda: default_decision(denied, now), None),
     }
 
 
@@ -217,8 +238,14 @@ def main(argv=None) -> int:
                             (peer, device))
             print(f"{name:<22}{us:8.2f} us")
         for name, (body, raw) in control_messages().items():
-            if messages.decode_envelope(raw).body != body:
+            decoded = messages.decode_envelope(raw).body
+            if decoded != body:
                 print(f"stage_timer: a decoded {name} differs from the one encoded", file=sys.stderr)
+                return 1
+            flows = [f for d in getattr(decoded, "decisions", ()) for f in d.flows]
+            if any(f.encoded is None for f in flows):
+                print(f"stage_timer: a decoded {name} holds a flow in normalized form that kept "
+                      "no bytes: the decoder normalized it again", file=sys.stderr)
                 return 1
         counts = dep.metrics.dump()
         forwarded, delivered = counts.pop("egress.forwarded", 0), counts.pop("ingress.delivered", 0)
